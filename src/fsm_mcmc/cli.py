@@ -106,8 +106,6 @@ class RunConfig:
             errors.append(f"dim must be >= 1, got {self.dim}")
         if self.kernel == "slice" and self._target_dim() != 1:
             errors.append("slice sampling needs a one-dimensional target")
-        if self.kernel == "nuts" and self.target == "gp-synthetic":
-            pass  # the GP posterior has gradients; fine
         if self.kernel == "elliptical" and self.target != "gp-synthetic":
             # only the GP target ships a Gaussian-prior split here
             errors.append("elliptical needs a target with a Gaussian-prior split "

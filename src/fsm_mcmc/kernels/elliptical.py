@@ -139,4 +139,5 @@ def elliptical_kernel() -> KernelBundle:
         iter_states=(2,),
         default_costs=CostParams.for_fsm(
             machine, block_costs=(0.02, 0.02, 0.01), shared_cost=1.0),
+        requires=requires,
     )

@@ -255,4 +255,5 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         iter_states=(3,),
         default_costs=CostParams.for_fsm(
             machine, block_costs=(1.0, 0.05, 1.0, 0.1, 0.02)),
+        requires=requires,
     )

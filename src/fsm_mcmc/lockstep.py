@@ -9,10 +9,15 @@ run-all-branches-and-mask model of batched accelerators:
 * :func:`run_fsm_batched` - every tick advances every chain one executor
   call; the charge per tick is alpha x (sum of all block costs), because a
   masked batch executes every branch.  The loop runs until every chain has
-  its n samples, in chunks of 100 ticks between condition checks.
+  its n samples, in chunks of 100 ticks between condition checks, and every
+  tick of every chunk is charged.
 
-Physically each chain only executes its own active block; the masking cost
-is a *model*, so the ledger also records natively-executed block counts.
+Physically each chain only executes its own active block, and a chain stops
+stepping once it has its n samples; the masking cost is a *model*, so the
+ledger also records natively-executed block counts.  Both regimes therefore
+do the same native work: the same blocks, shared evaluations and random
+draws per chain (the bundled executor may run a few blocks of the next
+sample in the call that finishes the last one).
 Both drivers are single-threaded and deterministic; samples from the two
 regimes are bit-identical for identical streams.
 """
@@ -163,11 +168,9 @@ class ChainBatch:
     locals: list[Any]
     state_ids: list[int]
     sample_counts: list[int]
-    active_mask: list[bool]
 
     def __post_init__(self):
-        lens = {len(self.locals), len(self.state_ids),
-                len(self.sample_counts), len(self.active_mask)}
+        lens = {len(self.locals), len(self.state_ids), len(self.sample_counts)}
         if lens != {self.m}:
             raise ValueError(f"batch sequences must all have length m={self.m}")
 
@@ -202,7 +205,6 @@ def init_batch(bundle, target, m: int, seed: int,
         locals=locs,
         state_ids=[1] * m,
         sample_counts=[0] * m,
-        active_mask=[True] * m,
     )
 
 
@@ -288,8 +290,6 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
             it_cost += full[s - 1] * float(loop_execs[s][i].max())
         charged += it_cost
     walltime = time.perf_counter() - t0
-    for j in range(m):
-        batch.active_mask[j] = False
     iter_counts = np.zeros((n, m), dtype=np.int64)
     for s in bundle.iter_states:
         iter_counts += loop_execs[s]
@@ -315,11 +315,12 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                     ) -> tuple[np.ndarray, CostLedger]:
     """Run the batch through the state machine until every chain has n samples.
 
-    Every tick applies the chosen executor to all m chains; the model charge
-    per tick is ``cost_params.tick_cost(step_variant)``.  Chains that already
-    have n samples keep stepping until the global loop ends; their surplus is
-    truncated at collection.  Ticks run in chunks of ``tick_chunk`` between
-    loop-condition checks.
+    Every tick applies the chosen executor to each chain that is still short
+    of n samples; a chain leaves the batch in the call that finishes its n-th
+    sample.  Ticks run in chunks of ``tick_chunk`` between loop-condition
+    checks, and every tick is charged ``cost_params.tick_cost(step_variant)``
+    whether or not any chain is still stepping, so the model charge is that of
+    a masked batch that runs to the end of the chunk.
     """
     _validate_run_args(batch, n)
     bundle.check_target(target)
@@ -355,6 +356,7 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     native_shared = 0
     ticks = 0
     counts = batch.sample_counts
+    active = list(range(m))  # chains still short of n samples, in index order
     t0 = time.perf_counter()
     while min(counts) < n:
         if tick_budget is not None and ticks + tick_chunk > tick_budget:
@@ -365,7 +367,8 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
             raise TickBudgetExceeded(tick_budget, ledger, list(counts))
         for _ in range(tick_chunk):
             ticks += 1
-            for j in range(m):
+            retired = False
+            for j in active:
                 k = batch.state_ids[j]
                 z = batch.locals[j]
                 try:
@@ -400,13 +403,15 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                             exec_rows[st][j].append(pend[st])
                             pend[st] = 0
                         counts[j] += 1
+                        if counts[j] == n:
+                            retired = True
                         if record_sample_ticks:
                             tick_rows[j].append(ticks)
                 if flag:
                     collected[j].append(z.x)
+            if retired:
+                active = [j for j in active if counts[j] < n]
     walltime = time.perf_counter() - t0
-    for j in range(m):
-        batch.active_mask[j] = False
     samples_per_chain = collect_samples(collected, None, n)
     samples = np.stack([np.asarray(ch) for ch in samples_per_chain], axis=1)
     if samples.ndim == 2:

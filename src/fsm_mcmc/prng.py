@@ -13,10 +13,16 @@ Conventions:
   block boundary can fall between any two draws without desynchronizing the
   counter,
 * no cryptographic claims; the mixer is a splitmix64-style finalizer chain.
+
+The rounds that depend only on ``(seed, stream)`` are computed once per
+stream and cached (:func:`_stream_hash`), so a draw pays only for mixing in
+its counter, as in counter-based generators (Salmon et al., "Parallel random
+numbers: as easy as 1, 2, 3", SC 2011).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -32,6 +38,9 @@ _STREAM_SALT = 0xC2B2AE3D27D4EB4F
 _COUNTER_SALT = 0x165667B19E3779F9
 
 _INV_2_53 = 2.0 ** -53
+
+# (seed, stream) pairs whose hash is kept; a batch holds one stream per chain
+_STREAM_CACHE_SIZE = 4096
 
 
 class RngKey(NamedTuple):
@@ -55,23 +64,22 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _bits(seed: int, stream: int, counter: int) -> int:
-    """64 pseudo-random bits for one (seed, stream, counter) triple.
+@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
+def _stream_hash(seed: int, stream: int) -> int:
+    """The counter-independent half of :func:`_bits`: two mixed key words, mixed again.
 
-    Equivalent to three chained :func:`_mix64` rounds over seed, stream and
-    counter; written flat because this sits on the hot path of every draw.
+    A chain draws from one ``(seed, stream)`` pair for its whole run, so the
+    result is cached; the cache is bounded and evicts least-recently used
+    pairs, which only costs a recomputation.
     """
-    x = (seed + _GOLDEN) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-    h = x ^ (x >> 31)
-    x = (stream + _STREAM_SALT) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-    x = h ^ x ^ (x >> 31)
-    x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-    h = x ^ (x >> 31)
+    return _mix64(_mix64(seed + _GOLDEN) ^ _mix64(stream + _STREAM_SALT))
+
+
+def _counter_bits(h: int, counter: int) -> int:
+    """Finish :func:`_bits` from a stream hash ``h``: mix in the counter, mix again.
+
+    Written flat because this sits on the hot path of every draw.
+    """
     x = (counter + _COUNTER_SALT) & _MASK64
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
@@ -79,6 +87,15 @@ def _bits(seed: int, stream: int, counter: int) -> int:
     x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
     x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
     return x ^ (x >> 31)
+
+
+def _bits(seed: int, stream: int, counter: int) -> int:
+    """64 pseudo-random bits for one (seed, stream, counter) triple.
+
+    Equivalent to chained :func:`_mix64` rounds,
+    ``mix(mix(mix(seed + G) ^ mix(stream + S)) ^ mix(counter + C))``.
+    """
+    return _counter_bits(_stream_hash(seed, stream), counter)
 
 
 def split(k: RngKey, n_streams: int) -> list[RngKey]:
@@ -128,8 +145,9 @@ def normal_vec(k: RngKey, dim: int, chol_factor: np.ndarray | None = None
             raise ValueError("chol_factor must be lower-triangular with positive diagonal")
     z = np.empty(dim)
     seed, stream, counter = k
+    h = _stream_hash(seed, stream)
     for i in range(dim):
-        b = _bits(seed, stream, counter) >> 11
+        b = _counter_bits(h, counter) >> 11
         z[i] = ndtri((b + 0.5) * _INV_2_53)
         counter = (counter + 1) & _MASK64
     out = z if chol_factor is None else L @ z
@@ -145,10 +163,9 @@ def uniform_block(k: RngKey, count: int) -> tuple[np.ndarray, RngKey]:
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    # seed/stream rounds are counter-independent; do them in exact Python ints
-    h_sc = _mix64(_mix64(k.seed + _GOLDEN) ^ _mix64(k.stream + _STREAM_SALT))
     ctrs = np.arange(count, dtype=np.uint64) + np.uint64(k.counter)
-    h = _mix64_np(np.uint64(h_sc) ^ _mix64_np(ctrs + np.uint64(_COUNTER_SALT)))
+    h_sc = np.uint64(_stream_hash(k.seed, k.stream))
+    h = _mix64_np(h_sc ^ _mix64_np(ctrs + np.uint64(_COUNTER_SALT)))
     u = (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
     return u, RngKey(k.seed, k.stream, (k.counter + count) & _MASK64)
 

@@ -301,6 +301,11 @@ class TestElliptical:
         with pytest.raises(KernelError):
             init_batch(bundle, plain, 1, 0)
 
+    def test_check_target_rejects_target_without_prior_split(self):
+        with pytest.raises(KernelError, match="Gaussian-prior"):
+            elliptical_kernel().check_target(standard_normal_target(1))
+        elliptical_kernel().check_target(conjugate_pair()[0])
+
     def test_posterior_matches_conjugate_closed_form(self):
         target, post_mu, post_cov = conjugate_pair()
         bundle = elliptical_kernel()
@@ -315,6 +320,12 @@ class TestNuts:
     def test_all_forms_bit_identical(self):
         bundle = nuts_kernel(0.5, max_depth=6)
         all_forms_agree(bundle, standard_normal_target(2))
+
+    def test_check_target_rejects_target_without_gradient(self):
+        no_grad = TargetModel(name="no-grad", dim=2, log_density=lambda x: 0.0)
+        with pytest.raises(KernelError, match="gradient"):
+            nuts_kernel(0.1).check_target(no_grad)
+        nuts_kernel(0.1).check_target(standard_normal_target(2))
 
     def test_fsm_topology_matches_nested_shape(self):
         bundle = nuts_kernel(0.3)

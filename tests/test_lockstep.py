@@ -5,7 +5,7 @@ import pytest
 
 from fsm_mcmc import analysis
 from fsm_mcmc.fsm import Locals, compose_single_loop
-from fsm_mcmc.kernels import drmh_kernel, elliptical_kernel
+from fsm_mcmc.kernels import drmh_kernel, elliptical_kernel, nuts_kernel, slice_kernel
 from fsm_mcmc.kernels.base import KernelBundle
 from fsm_mcmc.lockstep import (
     ChainBatch,
@@ -73,7 +73,6 @@ def scripted_batch(schedules):
         locals=[ScriptedLocals(s) for s in schedules],
         state_ids=[1] * len(schedules),
         sample_counts=[0] * len(schedules),
-        active_mask=[True] * len(schedules),
     )
 
 
@@ -243,6 +242,56 @@ class TestFsmDriver:
         assert len(params.block_costs) == 3
         assert sum(params.block_costs) > 0
         assert params.alpha == 1.0
+
+
+PARITY_CASES = {
+    "drmh": lambda: (drmh_kernel(100, 0.1), standard_normal_target(1)),
+    "slice": lambda: (slice_kernel(1.0), standard_normal_target(1)),
+    "elliptical": lambda: (elliptical_kernel(), conjugate_target()),
+    "nuts": lambda: (nuts_kernel(0.75, max_depth=6), standard_normal_target(2)),
+}
+
+
+def _paired_runs(kernel, variant, m=6, n=30, seed=5):
+    bundle, target = PARITY_CASES[kernel]()
+    barrier_batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
+    ref, barrier = run_standard_batched(bundle, target, barrier_batch, n)
+    fsm_batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
+    got, machine = run_fsm_batched(bundle, target, fsm_batch, n, step_variant=variant,
+                                   record_sample_ticks=True)
+    assert np.array_equal(ref, got)
+    assert barrier_batch.sample_counts == [n] * m
+    assert fsm_batch.sample_counts == [n] * m
+    return bundle, barrier_batch, barrier, fsm_batch, machine
+
+
+class TestWorkParity:
+    """Both regimes execute the same blocks natively on identical streams."""
+
+    @pytest.mark.parametrize("variant", ["plain", "amortized"])
+    @pytest.mark.parametrize("kernel", sorted(PARITY_CASES))
+    def test_state_machine_does_the_barriers_native_work(self, kernel, variant):
+        bundle, barrier_batch, barrier, fsm_batch, machine = _paired_runs(kernel, variant)
+        assert np.array_equal(machine.block_exec_counts, barrier.block_exec_counts)
+        # every execution of a block with a shared site requests one evaluation
+        shared = bundle.fsm.shared
+        sites = shared.sites if shared is not None else {}
+        barrier_shared = sum(sites.get(s, 0) * int(c) for s, c in
+                             enumerate(barrier.block_exec_counts, start=1))
+        assert machine.native_shared_evals == barrier_shared
+        assert [z.rng for z in fsm_batch.locals] == [z.rng for z in barrier_batch.locals]
+        # finished chains stop stepping, but the charge runs to the end of the
+        # 100-tick chunk in which the last chain finished
+        last = int(machine.sample_ticks[-1].max())
+        assert machine.tick_count == -(-last // 100) * 100
+
+    @pytest.mark.parametrize("kernel", sorted(PARITY_CASES))
+    def test_bundled_overruns_by_at_most_one_call_per_chain(self, kernel):
+        bundle, barrier_batch, barrier, _, machine = _paired_runs(kernel, "bundled")
+        m, K = barrier_batch.m, bundle.fsm.n_states
+        extra = machine.block_exec_counts - barrier.block_exec_counts
+        assert extra.min() >= 0
+        assert extra.sum() <= m * (K - 1)
 
 
 class TestCollectSamples:

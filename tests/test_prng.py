@@ -145,3 +145,66 @@ def test_normal_mean_of_one_million_draws():
         zi, kk = prng.normal(kk)
         assert zi == z[i]
     assert abs(z.mean()) < 0.003
+
+
+def _chained_bits(seed, stream, counter):
+    # the draw's definition: chained splitmix rounds over seed, stream, counter
+    mix = prng._mix64
+    key_part = mix(mix(seed + prng._GOLDEN) ^ mix(stream + prng._STREAM_SALT))
+    return mix(key_part ^ mix(counter + prng._COUNTER_SALT))
+
+
+_EDGES = (0, 1, 2**63, 2**64 - 1)
+
+
+def test_bits_match_chained_definition_at_edge_values():
+    for seed in _EDGES:
+        for stream in _EDGES:
+            for counter in _EDGES:
+                assert prng._bits(seed, stream, counter) == \
+                    _chained_bits(seed, stream, counter)
+    # frozen outputs of the definition pin the bits across releases
+    assert prng._bits(0, 0, 0) == 0xA59389B7C5F29906
+    assert prng._bits(2**64 - 1, 2**64 - 1, 2**64 - 1) == 0xFC0A381582C08AE5
+    assert prng._bits(123, 4, 567) == 0x020AE3640CF82910
+    assert prng._bits(7, 2**63, 0) == 0xB50DE724A4EDBEBA
+
+
+def test_draws_across_counter_wrap_match_definition():
+    k = prng.key(5, 2**64 - 1, 2**64 - 2)
+    expect = [(_chained_bits(5, 2**64 - 1, c) >> 11) * 2.0**-53
+              for c in (2**64 - 2, 2**64 - 1, 0, 1)]
+    got = []
+    kk = k
+    for _ in range(4):
+        u, kk = prng.uniform(kk)
+        got.append(u)
+    assert got == expect
+    assert kk.counter == 2
+    block, k_end = prng.uniform_block(k, 4)
+    assert list(block) == expect and k_end == kk
+    vec, k_vec = prng.normal_vec(k, 4)
+    kk = k
+    for i in range(4):
+        z, kk = prng.normal(kk)
+        assert vec[i] == z
+    assert k_vec == kk
+
+
+def test_stream_hash_eviction_keeps_draws_exact():
+    size = prng._STREAM_CACHE_SIZE
+    assert prng._stream_hash.cache_info().maxsize == size
+    pairs = [(seed, prng._mix64(seed * 7919 + 1)) for seed in range(size + 100)]
+    for seed, stream in pairs:
+        assert prng._bits(seed, stream, 3) == _chained_bits(seed, stream, 3)
+    assert prng._stream_hash.cache_info().currsize <= size
+    # the first pairs have been evicted; their draws are recomputed unchanged
+    for seed, stream in pairs[:100]:
+        assert prng._bits(seed, stream, 3) == _chained_bits(seed, stream, 3)
+        k = prng.key(seed, stream, 3)
+        block, _ = prng.uniform_block(k, 3)
+        scalars = []
+        for _ in range(3):
+            u, k = prng.uniform(k)
+            scalars.append(u)
+        assert list(block) == scalars
