@@ -66,7 +66,7 @@ def _mix64(x: int) -> int:
 
 @functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
 def _stream_hash(seed: int, stream: int) -> int:
-    """The counter-independent half of :func:`_bits`: two mixed key words, mixed again.
+    """The counter-independent half of :func:`_bits`.
 
     A chain draws from one ``(seed, stream)`` pair for its whole run, so the
     result is cached; the cache is bounded and evicts least-recently used
@@ -76,7 +76,7 @@ def _stream_hash(seed: int, stream: int) -> int:
 
 
 def _counter_bits(h: int, counter: int) -> int:
-    """Finish :func:`_bits` from a stream hash ``h``: mix in the counter, mix again.
+    """Finish :func:`_bits` from a stream hash ``h`` by mixing in the counter.
 
     Written flat because this sits on the hot path of every draw.
     """
