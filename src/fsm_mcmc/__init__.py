@@ -5,7 +5,6 @@ from .fsm import (
     Locals,
     SharedComputation,
     StepOutcome,
-    amortized_step,
     bundled_step,
     compose_nested,
     compose_sequential,
@@ -17,7 +16,6 @@ from .lockstep import (
     ChainBatch,
     CostLedger,
     CostParams,
-    collect_samples,
     init_batch,
     run_fsm_batched,
     run_standard_batched,

@@ -16,14 +16,23 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+import typing
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analysis
-from .kernels import KERNEL_BUILDERS, drmh_kernel, elliptical_kernel, nuts_kernel, slice_kernel
+from .kernels import (
+    KERNEL_BUILDERS,
+    KernelError,
+    drmh_kernel,
+    elliptical_kernel,
+    nuts_kernel,
+    slice_kernel,
+)
 from .lockstep import (
+    STEP_VARIANTS,
     CostParams,
     TickBudgetExceeded,
     init_batch,
@@ -31,6 +40,7 @@ from .lockstep import (
     run_standard_batched,
 )
 from .targets import (
+    TargetError,
     equicorrelated_covariance,
     gaussian_target,
     gp_hyperparameter_target,
@@ -43,6 +53,12 @@ from .targets import (
 __all__ = ["RunConfig", "run_experiment", "sweep", "main"]
 
 TARGET_NAMES = ("std-normal", "gaussian-corr", "mog", "gp-synthetic")
+# the RunConfig fields restricted to a fixed set of names
+_CHOICES = {
+    "kernel": tuple(sorted(KERNEL_BUILDERS)),
+    "target": TARGET_NAMES,
+    "variant": STEP_VARIANTS,
+}
 
 RESULT_COLUMNS = (
     "kernel", "target", "m", "n", "variant", "regime", "seed",
@@ -87,53 +103,37 @@ class RunConfig:
     gp_seed: int = 20240617
 
     def validate(self) -> list[str]:
-        errors = []
-        if self.kernel not in KERNEL_BUILDERS:
-            errors.append(f"unknown kernel {self.kernel!r}; choose from {sorted(KERNEL_BUILDERS)}")
-        if self.target not in TARGET_NAMES:
-            errors.append(f"unknown target {self.target!r}; choose from {TARGET_NAMES}")
+        """Every configuration error; the kernel and target builders and the
+        kernel's target check are the one source of their parameters' rules."""
+        errors = [f"unknown {name} {getattr(self, name)!r}; choose from {choices}"
+                  for name, choices in _CHOICES.items()
+                  if getattr(self, name) not in choices]
         if self.chains < 1:
             errors.append(f"chains must be >= 1, got {self.chains}")
         if self.samples < 1:
             errors.append(f"samples must be >= 1, got {self.samples}")
-        if self.variant not in ("plain", "bundled", "amortized"):
-            errors.append(f"variant must be plain/bundled/amortized, got {self.variant!r}")
         if not self.seeds:
             errors.append("need at least one seed")
         if self.tick_budget is not None and self.tick_budget < 1:
             errors.append("tick_budget must be >= 1 when given")
         if self.dim < 1:
             errors.append(f"dim must be >= 1, got {self.dim}")
-        if self.kernel == "slice" and self._target_dim() != 1:
-            errors.append("slice sampling needs a one-dimensional target")
-        if self.kernel == "elliptical" and self.target != "gp-synthetic":
-            # only the GP target ships a Gaussian-prior split here
-            errors.append("elliptical needs a target with a Gaussian-prior split "
-                          "(use target=gp-synthetic)")
-        if self.kernel == "drmh" and self.drmh_max_tries < 1:
-            errors.append("drmh_max_tries must be >= 1")
-        if self.kernel == "drmh" and self.drmh_proposal_scale <= 0:
-            errors.append("drmh_proposal_scale must be positive")
-        if self.kernel == "slice" and self.slice_width <= 0:
-            errors.append("slice_width must be positive")
-        if self.kernel == "nuts" and self.nuts_step_size <= 0:
-            errors.append("nuts_step_size must be positive")
-        if self.kernel == "nuts" and self.nuts_max_depth < 1:
-            errors.append("nuts_max_depth must be >= 1")
-        if self.target == "gp-synthetic" and self.gp_n < 2:
-            errors.append("gp_n must be >= 2")
-        if self.target == "mog" and not -1.0 < self.target_rho < 1.0:
-            errors.append("target_rho must be in (-1, 1)")
+        if errors:
+            return errors
+        try:
+            bundle = build_kernel(self)
+        except KernelError as exc:
+            errors.append(f"kernel {self.kernel}: {exc}")
+        try:
+            target = build_target(self)
+        except TargetError as exc:
+            errors.append(f"target {self.target}: {exc}")
+        if not errors:
+            try:
+                bundle.check_target(target)
+            except KernelError as exc:
+                errors.append(str(exc))
         return errors
-
-    def _target_dim(self) -> int:
-        if self.target == "std-normal":
-            return self.dim
-        if self.target == "gaussian-corr":
-            return max(self.dim, 2)
-        if self.target == "mog":
-            return self.dim
-        return 3  # gp-synthetic
 
     def config_hash(self) -> str:
         payload = asdict(self)
@@ -175,13 +175,8 @@ def resolve_cost_params(config: RunConfig, bundle, target) -> CostParams:
     if config.cost_model == "default":
         defaults = bundle.default_costs
         if defaults.shared_cost > 0 and target.log_density_cost != 1.0:
-            return CostParams(
-                block_costs=defaults.block_costs,
-                alpha=defaults.alpha,
-                loop_states=defaults.loop_states,
-                shared_cost=defaults.shared_cost * target.log_density_cost,
-                shared_sites=defaults.shared_sites,
-            )
+            return replace(defaults,
+                           shared_cost=defaults.shared_cost * target.log_density_cost)
         return defaults
     if config.cost_model == "measured":
         from .lockstep import measure_block_costs
@@ -375,62 +370,49 @@ def _parse_config_file(path: str) -> dict:
     return values
 
 
-def _coerce(value: str, like):
-    if isinstance(like, bool):
+_HELP = {
+    "seeds": "comma-separated seed list",
+    "cost_model": "'default', 'measured', or a JSON file with block_costs/alpha",
+}
+_TYPES = typing.get_type_hints(RunConfig)
+
+
+def _coerce(value: str, name: str):
+    """Parse a flag or config-file string as the RunConfig field ``name``."""
+    kind = _TYPES[name]
+    if kind is bool:
         return value.lower() in ("1", "true", "yes", "on")
-    if isinstance(like, int):
+    if typing.get_origin(kind) is tuple:
+        cast = typing.get_args(kind)[0]
+        return tuple(cast(v) for v in value.split(",") if v.strip())
+    if kind in (int, int | None):
         return int(value)
-    if isinstance(like, float):
+    if kind is float:
         return float(value)
-    if isinstance(like, tuple):
-        items = [v for v in value.split(",") if v.strip()]
-        cast = float if like and isinstance(like[0], float) else int
-        return tuple(cast(v) for v in items)
     return value
 
 
+def _field_parser(name: str):
+    def parse(value: str):
+        return _coerce(value, name)
+    parse.__name__ = name  # argparse names the field in its error message
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    defaults = RunConfig()
+    """One flag per RunConfig field, spelt ``--field-name``, plus the sweep flags."""
     p = argparse.ArgumentParser(
         prog="fsm-mcmc",
         description="Paired barrier/state-machine MCMC runs with cost accounting",
     )
     p.add_argument("--config", help="key=value file mirroring the flags below")
-    p.add_argument("--kernel", default=defaults.kernel, choices=sorted(KERNEL_BUILDERS))
-    p.add_argument("--target", default=defaults.target, choices=TARGET_NAMES)
-    p.add_argument("--chains", type=int, default=defaults.chains)
-    p.add_argument("--samples", type=int, default=defaults.samples)
-    p.add_argument("--variant", default=defaults.variant,
-                   choices=("plain", "bundled", "amortized"))
-    p.add_argument("--seeds", default="0", help="comma-separated seed list")
-    p.add_argument("--cost-model", dest="cost_model", default=defaults.cost_model,
-                   help="'default', 'measured', or a JSON file with block_costs/alpha")
-    p.add_argument("--out", default=defaults.out)
-    p.add_argument("--tick-budget", dest="tick_budget", type=int, default=None)
-    p.add_argument("--init-jitter", dest="init_jitter", type=float,
-                   default=defaults.init_jitter)
-    p.add_argument("--dim", type=int, default=defaults.dim)
-    p.add_argument("--target-rho", dest="target_rho", type=float,
-                   default=defaults.target_rho)
-    p.add_argument("--mog-offsets", dest="mog_offsets", default="-5,0,5")
-    p.add_argument("--gp-n", dest="gp_n", type=int, default=defaults.gp_n)
-    p.add_argument("--gp-p", dest="gp_p", type=int, default=defaults.gp_p)
-    p.add_argument("--gp-seed", dest="gp_seed", type=int, default=defaults.gp_seed)
-    p.add_argument("--drmh-max-tries", dest="drmh_max_tries", type=int,
-                   default=defaults.drmh_max_tries)
-    p.add_argument("--drmh-proposal-scale", dest="drmh_proposal_scale", type=float,
-                   default=defaults.drmh_proposal_scale)
-    p.add_argument("--drmh-split-body", dest="drmh_split_body", action="store_true")
-    p.add_argument("--slice-width", dest="slice_width", type=float,
-                   default=defaults.slice_width)
-    p.add_argument("--slice-max-expansions", dest="slice_max_expansions", type=int,
-                   default=defaults.slice_max_expansions)
-    p.add_argument("--nuts-step-size", dest="nuts_step_size", type=float,
-                   default=defaults.nuts_step_size)
-    p.add_argument("--nuts-max-depth", dest="nuts_max_depth", type=int,
-                   default=defaults.nuts_max_depth)
-    p.add_argument("--nuts-divergence-threshold", dest="nuts_divergence_threshold",
-                   type=float, default=defaults.nuts_divergence_threshold)
+    for f in fields(RunConfig):
+        flag = "--" + f.name.replace("_", "-")
+        if _TYPES[f.name] is bool:
+            p.add_argument(flag, dest=f.name, action="store_true", default=f.default)
+        else:
+            p.add_argument(flag, dest=f.name, type=_field_parser(f.name), default=f.default,
+                           choices=_CHOICES.get(f.name), help=_HELP.get(f.name))
     p.add_argument("--sweep-axis", dest="sweep_axis", choices=SWEEP_AXES)
     p.add_argument("--sweep-values", dest="sweep_values",
                    help="comma-separated values for the sweep axis")
@@ -438,24 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def config_from_args(args: argparse.Namespace) -> RunConfig:
-    seeds = tuple(int(s) for s in str(args.seeds).split(",") if s.strip())
-    offsets = tuple(float(v) for v in str(args.mog_offsets).split(",") if v.strip())
-    return RunConfig(
-        kernel=args.kernel, target=args.target, chains=args.chains,
-        samples=args.samples, variant=args.variant, seeds=seeds,
-        out=args.out, cost_model=args.cost_model, tick_budget=args.tick_budget,
-        init_jitter=args.init_jitter,
-        drmh_max_tries=args.drmh_max_tries,
-        drmh_proposal_scale=args.drmh_proposal_scale,
-        drmh_split_body=args.drmh_split_body,
-        slice_width=args.slice_width,
-        slice_max_expansions=args.slice_max_expansions,
-        nuts_step_size=args.nuts_step_size,
-        nuts_max_depth=args.nuts_max_depth,
-        nuts_divergence_threshold=args.nuts_divergence_threshold,
-        dim=args.dim, target_rho=args.target_rho, mog_offsets=offsets,
-        gp_n=args.gp_n, gp_p=args.gp_p, gp_seed=args.gp_seed,
-    )
+    return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:
@@ -464,24 +429,16 @@ def main(argv=None) -> int:
     if pre.config:
         try:
             file_values = _parse_config_file(pre.config)
+            names = {f.name for f in fields(RunConfig)}
+            unknown = [k for k in file_values
+                       if k not in names and k not in ("sweep_axis", "sweep_values")]
+            if unknown:
+                raise ValueError(f"unknown config keys: {unknown}")
+            parser.set_defaults(**{k: _coerce(v, k) if k in names else v
+                                   for k, v in file_values.items()})
         except (OSError, ValueError) as exc:
             print(json.dumps({"errors": [str(exc)]}), file=sys.stderr)
             return 2
-        defaults = RunConfig()
-        mapped = {}
-        unknown = []
-        for k, v in file_values.items():
-            if k in ("sweep_axis", "sweep_values", "seeds", "mog_offsets"):
-                mapped[k] = v
-            elif hasattr(defaults, k):
-                mapped[k] = _coerce(v, getattr(defaults, k))
-            else:
-                unknown.append(k)
-        if unknown:
-            print(json.dumps({"errors": [f"unknown config keys: {unknown}"]}),
-                  file=sys.stderr)
-            return 2
-        parser.set_defaults(**mapped)
     args = parser.parse_args(argv)
     config = config_from_args(args)
     errors = config.validate()

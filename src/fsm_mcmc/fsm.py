@@ -3,20 +3,20 @@
 A kernel is decomposed into K while-loop-free block functions plus a
 transition function over state labels 1..K.  Loop predicates live in the
 transition function; blocks mutate a per-chain :class:`Locals` record in
-place.  Three executors are provided:
+place.  Two executors are provided:
 
 * :func:`step` - run one block and one transition (one state per tick),
 * :func:`bundled_step` - chain the per-state conditionals so a chain can
-  fall through several states in a single tick,
-* :func:`amortized_step` - like ``step`` but with an explicit shared
-  computation that is evaluated at most once per tick.
+  fall through several states in a single tick.
 
 Kernels that share an expensive computation (e.g. a log-density needed both
 to set a threshold and to test it) never call it inside a block.  Instead a
 block sets ``locals.needs_shared`` and the executor evaluates the shared
 function *between the block and the transition*, so the loop predicate always
 sees a fresh value.  Under the batched cost model this is what makes the
-shared work chargeable once per tick instead of once per call site.
+shared work chargeable once per tick instead of once per call site: the
+``amortized`` step variant runs :func:`step` and differs from ``plain`` only
+in that charge (``CostParams.tick_cost``).
 
 Conventions every shipped kernel follows:
 
@@ -41,7 +41,6 @@ __all__ = [
     "BlockFailure",
     "step",
     "bundled_step",
-    "amortized_step",
     "default_bundled_order",
     "validate_bundled_order",
     "compose_single_loop",
@@ -247,30 +246,6 @@ def bundled_step(fsm: FsmDefinition, k: int, z, order: tuple[int, ...] | None = 
             k = fsm.transition(s, z)
             executed.append(s)
     return StepOutcome(k, z, is_sample, did, tuple(executed))
-
-
-def amortized_step(fsm: FsmDefinition, k: int, z,
-                   g: Callable[[Any], None] | None = None) -> StepOutcome:
-    """One step with the shared computation ``g`` evaluated at most once.
-
-    ``g`` defaults to the machine's own shared computation.  It runs between
-    the block and the transition, as soon as the block requests it, so the
-    loop predicate in the transition reads a fresh cache.  For machines with
-    no shared computation this coincides with :func:`step`.
-    """
-    if g is None:
-        return step(fsm, k, z)
-    if not 1 <= k <= fsm.n_states:
-        raise FsmError(f"state {k} outside 1..{fsm.n_states}")
-    is_sample = k == fsm.n_states
-    z = fsm.blocks[k - 1](z)
-    did = False
-    if z.needs_shared:
-        g(z)
-        z.needs_shared = False
-        did = True
-    k_next = fsm.transition(k, z)
-    return StepOutcome(k_next, z, is_sample, did, (k,))
 
 
 def empty_block(z):

@@ -1,9 +1,9 @@
 """Shared kernel plumbing.
 
 Each kernel ships in two forms that consume identical randomness: a
-monolithic ``sample`` function (plain while loops, the reference) and a
-state-machine decomposition of the same blocks.  Both forms are carried by a
-:class:`KernelBundle`.
+monolithic function (plain while loops, the reference) and a state-machine
+decomposition of the same blocks.  Both forms step the chain's own
+persistent ``Locals`` and are carried by a :class:`KernelBundle`.
 """
 
 from __future__ import annotations
@@ -18,16 +18,17 @@ from ..fsm import BlockFailure, FsmDefinition
 from ..lockstep import CostParams
 from ..targets import TargetModel
 
-__all__ = ["KernelBundle", "KernelError", "check_log_density", "run_block"]
+__all__ = ["KernelBundle", "KernelError", "check_log_density"]
 
 
 class KernelError(ValueError):
     """Invalid kernel construction or target/kernel mismatch."""
 
 
-# A monolithic transition kernel: (x, rng, target) -> (x', rng', loop_execs)
-# where loop_execs maps loop-state id -> number of executions for this sample.
-MonolithicKernel = Callable[[np.ndarray, Any, TargetModel], tuple[np.ndarray, Any, dict[int, int]]]
+# A monolithic transition kernel: draws one sample by running the machine's
+# blocks as while loops on the chain's Locals in place, and returns
+# {loop-state id: number of executions for this sample}.
+MonolithicKernel = Callable[[Any], dict[int, int]]
 
 
 @dataclass(frozen=True)
@@ -65,15 +66,3 @@ def check_log_density(value: float, label: str) -> float:
         raise BlockFailure(label, f"log-density evaluated to {value}")
     return value
 
-
-def run_block(fsm: FsmDefinition, state: int, z):
-    """Run one block plus its shared refresh, exactly as the executors do.
-
-    Monolithic kernels drive their while loops through this helper so both
-    forms share one code path for block-plus-shared semantics.
-    """
-    z = fsm.blocks[state - 1](z)
-    if fsm.shared is not None and z.needs_shared:
-        fsm.shared.fn(z)
-        z.needs_shared = False
-    return z

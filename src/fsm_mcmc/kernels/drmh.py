@@ -160,13 +160,12 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
     def init_locals(x0, rng, target):
         return DrmhLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(x, rng, target):
-        z = init_locals(x, rng, target)
-        z = _init(z)
+    def monolithic(z: DrmhLocals) -> dict[int, int]:
+        _init(z)
         while _continue(z):
-            z = _propose(z)
-        z = _done(z)
-        return z.x, z.rng, {s: z.n_inner for s in loop_states}
+            _propose(z)
+        _done(z)
+        return {s: z.n_inner for s in loop_states}
 
     # INIT and DONE are bookkeeping-only; the proposal stages carry the work
     if split_body:

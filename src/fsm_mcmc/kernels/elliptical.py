@@ -119,17 +119,16 @@ def elliptical_kernel() -> KernelBundle:
     def init_locals(x0, rng, target):
         return EllipticalLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(x, rng, target):
-        z = init_locals(x, rng, target)
-        z = _init(z)
+    def monolithic(z: EllipticalLocals) -> dict[int, int]:
+        _init(z)
         _refresh_residual(z)
         z.needs_shared = False
         while _below_threshold(z):
-            z = _shrink(z)
+            _shrink(z)
             _refresh_residual(z)
             z.needs_shared = False
-        z = _done(z)
-        return z.x, z.rng, {2: z.n_shrink}
+        _done(z)
+        return {2: z.n_shrink}
 
     return KernelBundle(
         name="elliptical",

@@ -234,18 +234,17 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
     def init_locals(x0, rng, target):
         return NutsLocals(np.asarray(x0, dtype=float), rng, target, max_depth)
 
-    def monolithic(x, rng, target):
-        z = init_locals(x, rng, target)
-        z = _init(z)
+    def monolithic(z: NutsLocals) -> dict[int, int]:
+        _init(z)
         n_check = 0
         while _outer_continue(z):
-            z = _double(z)
+            _double(z)
             while _inner_continue(z):
-                z = _integrate(z)
-            z = _check(z)
+                _integrate(z)
+            _check(z)
             n_check += 1
-        z = _done(z)
-        return z.x, z.rng, {2: z.n_double, 3: z.n_inner, 4: n_check}
+        _done(z)
+        return {2: z.n_double, 3: z.n_inner, 4: n_check}
 
     return KernelBundle(
         name="nuts",

@@ -125,25 +125,21 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
     machine = compose_sequential(expand_fsm, shrink_fsm)
 
     def requires(target):
-        problems = []
         if target.dim != 1:
-            problems.append(f"slice sampling here is univariate, target has dim {target.dim}")
-        return problems
+            return [f"needs a one-dimensional target, target has dim {target.dim}"]
+        return []
 
     def init_locals(x0, rng, target):
-        if target.dim != 1:
-            raise KernelError("slice sampling here is univariate")
         return SliceLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(x, rng, target):
-        z = init_locals(x, rng, target)
-        z = _init_expand(z)
+    def monolithic(z: SliceLocals) -> dict[int, int]:
+        _init_expand(z)
         while _expand_continue(z):
-            z = _expand(z)
+            _expand(z)
         while _shrink_continue(z):
-            z = _shrink(z)
-        z = _done(z)
-        return z.x, z.rng, {2: z.n_expand, 4: z.n_shrink}
+            _shrink(z)
+        _done(z)
+        return {2: z.n_expand, 4: z.n_shrink}
 
     return KernelBundle(
         name="slice",

@@ -15,9 +15,10 @@ run-all-branches-and-mask model of batched accelerators:
 Physically each chain only executes its own active block, and a chain stops
 stepping once it has its n samples; the masking cost is a *model*, so the
 ledger also records natively-executed block counts.  Both regimes therefore
-do the same native work: the same blocks, shared evaluations and random
-draws per chain (the bundled executor may run a few blocks of the next
-sample in the call that finishes the last one).
+do the same native work on each chain's one ``Locals`` record: the same
+blocks, target evaluations and random draws per chain (the bundled executor
+may run a few blocks of the next sample in the call that finishes the last
+one).
 Both drivers are single-threaded and deterministic; samples from the two
 regimes are bit-identical for identical streams.
 """
@@ -25,8 +26,8 @@ regimes are bit-identical for identical streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "init_batch",
     "run_standard_batched",
     "run_fsm_batched",
-    "collect_samples",
     "STEP_VARIANTS",
 ]
 
@@ -223,7 +223,6 @@ class CostLedger:
     shared_evals_per_tick: int = 0
     native_shared_evals: int = 0
     sample_ticks: np.ndarray | None = None  # n x m tick index of each flagged sample
-    extras: dict = field(default_factory=dict)
 
     def cost_per_sample(self) -> float:
         n = self.iter_counts.shape[0]
@@ -241,6 +240,9 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
                          cost_params: CostParams | None = None,
                          ) -> tuple[np.ndarray, CostLedger]:
     """Alg-style batched loop: one monolithic sample per chain per iteration.
+
+    Each sample runs the kernel's while loops on the chain's own ``Locals``,
+    the record the state-machine driver steps.
 
     The barrier charge for iteration i is
     ``sum_{non-loop} c_b + sum_{loop} c_b * max_j execs_b(i, j)``.
@@ -271,12 +273,10 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
         for j in range(m):
             z = batch.locals[j]
             try:
-                x_new, rng_new, execs = bundle.monolithic(z.x, z.rng, target)
+                execs = bundle.monolithic(z)
             except Exception as exc:  # noqa: BLE001 - re-raise with chain context
                 raise KernelRunError(chain=j, iteration=i, cause=exc) from exc
-            z.x = x_new
-            z.rng = rng_new
-            samples[i, j] = x_new
+            samples[i, j] = z.x
             for s, cnt in execs.items():
                 if s in loop_execs:
                     loop_execs[s][i, j] = cnt
@@ -338,8 +338,11 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
             lambda k, z: fsm_mod.bundled_step(machine, k, z, order)
     else:
         # plain and amortized advance one block per tick with the shared
-        # refresh between block and transition; the driver inlines that
-        # (identically to fsm.step) to keep the per-tick overhead down
+        # refresh between block and transition, exactly as fsm.step does.
+        # The driver inlines that step: calling fsm.step instead slowed the
+        # drmh state-machine run (m=256, n=100, median of 8 seeds, 2-core
+        # x86 VM) from 0.48/0.63/0.56 s to 0.56/0.80/0.81 s, 16-45% in 3 of
+        # 3 pairs.
         step_fn = None
     blocks = machine.blocks
     transition = machine.transition
@@ -412,8 +415,9 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
             if retired:
                 active = [j for j in active if counts[j] < n]
     walltime = time.perf_counter() - t0
-    samples_per_chain = collect_samples(collected, None, n)
-    samples = np.stack([np.asarray(ch) for ch in samples_per_chain], axis=1)
+    # a chain retires in the call that flags its n-th sample, so each
+    # buffer holds exactly n samples
+    samples = np.stack([np.asarray(ch) for ch in collected], axis=1)
     if samples.ndim == 2:
         samples = samples[:, :, None]
     ledger = _fsm_ledger(bundle, params, step_variant, exec_rows, n, m,
@@ -492,40 +496,5 @@ def measure_block_costs(bundle, target, m: int = 8, seed: int = 0,
         float(totals[i] / counts[i]) if counts[i] else 0.0 for i in range(K)
     )
     shared_cost = shared_total / shared_count if shared_count else 0.0
-    sites = tuple(machine.shared.sites.get(s, 0) for s in range(1, K + 1)) \
-        if machine.shared is not None else (0,) * K
-    return CostParams(
-        block_costs=block_costs,
-        alpha=1.0,
-        loop_states=tuple(sorted(machine.loop_states)),
-        shared_cost=shared_cost,
-        shared_sites=sites,
-    )
+    return CostParams.for_fsm(machine, block_costs=block_costs, shared_cost=shared_cost)
 
-
-def collect_samples(buffers: Sequence[Sequence], flags: Sequence[Sequence[bool]] | None,
-                    n: int | None = None) -> list[np.ndarray]:
-    """Filter per-chain trace buffers down to their flagged entries.
-
-    ``flags[j][t]`` marks which entries of ``buffers[j]`` are samples;
-    ``None`` means all entries are flagged (the drivers append only on
-    flagged ticks).  With ``n`` given, each chain is truncated to its first
-    n samples.
-    """
-    out = []
-    for j, buf in enumerate(buffers):
-        if flags is None:
-            vals = list(buf)
-        else:
-            fl = flags[j]
-            if len(fl) != len(buf):
-                raise ValueError(
-                    f"chain {j}: {len(fl)} flags for {len(buf)} buffered values"
-                )
-            vals = [v for v, f in zip(buf, fl) if f]
-        if n is not None:
-            if len(vals) < n:
-                raise ValueError(f"chain {j}: only {len(vals)} samples, need {n}")
-            vals = vals[:n]
-        out.append(np.asarray(vals))
-    return out

@@ -275,6 +275,8 @@ def make_synthetic_gp_dataset(n: int = 50, p: int = 3, seed: int = GP_DATA_SEED,
     """Draw (inputs, outputs) from the GP model at the documented hyperparameters."""
     if n < 2:
         raise TargetError("need n >= 2 data points")
+    if p < 0:
+        raise TargetError(f"need p >= 0 input dimensions, got {p}")
     sigma, tau, lam = theta
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, p))

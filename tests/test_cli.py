@@ -1,10 +1,12 @@
 import filecmp
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fsm_mcmc import cli
 from fsm_mcmc.cli import (
     RunConfig,
     build_parser,
@@ -209,3 +211,74 @@ class TestMain:
         assert config.kernel == "nuts"
         assert config.seeds == (1, 2, 3)
         assert config.nuts_step_size == 0.08
+
+    @pytest.mark.parametrize("argv", [
+        ["--kernel", "slice", "--slice-max-expansions", "-1",
+         "--sweep-axis", "m", "--sweep-values", "1,2"],
+        ["--target", "gaussian-corr", "--target-rho", "1.5"],
+        ["--kernel", "elliptical", "--target", "gp-synthetic", "--gp-p", "-1"],
+    ])
+    def test_builder_errors_are_config_errors(self, tmp_path, capsys, argv):
+        out = tmp_path / "bad"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["errors"]
+        assert not out.exists()
+
+
+# one non-default value per RunConfig field: (flag/file text, parsed value)
+FIELD_VALUES = {
+    "kernel": ("nuts", "nuts"),
+    "target": ("mog", "mog"),
+    "chains": ("5", 5),
+    "samples": ("7", 7),
+    "variant": ("bundled", "bundled"),
+    "seeds": ("3,4", (3, 4)),
+    "out": ("elsewhere", "elsewhere"),
+    "cost_model": ("measured", "measured"),
+    "tick_budget": ("700", 700),
+    "init_jitter": ("0.5", 0.5),
+    "drmh_max_tries": ("7", 7),
+    "drmh_proposal_scale": ("0.3", 0.3),
+    "drmh_split_body": ("true", True),
+    "slice_width": ("2.5", 2.5),
+    "slice_max_expansions": ("5", 5),
+    "nuts_step_size": ("0.5", 0.5),
+    "nuts_max_depth": ("4", 4),
+    "nuts_divergence_threshold": ("10.0", 10.0),
+    "dim": ("2", 2),
+    "target_rho": ("0.5", 0.5),
+    "mog_offsets": ("-1.5,2.5", (-1.5, 2.5)),
+    "gp_n": ("20", 20),
+    "gp_p": ("2", 2),
+    "gp_seed": ("7", 7),
+}
+
+
+class TestFieldRoundTrip:
+    """Every RunConfig field parses from its flag and from its file key."""
+
+    @staticmethod
+    def _config_seen_by_main(monkeypatch, argv):
+        seen = []
+
+        def fake_run(config):
+            seen.append(config)
+            return cli.ExperimentResult(config=config)
+
+        monkeypatch.setattr(cli, "run_experiment", fake_run)
+        assert main(argv) == 0
+        return seen[0]
+
+    @pytest.mark.parametrize("name", [f.name for f in fields(RunConfig)])
+    def test_flag_and_file_key(self, tmp_path, monkeypatch, name):
+        text, value = FIELD_VALUES[name]
+        want = RunConfig(**{name: value})
+        assert want != RunConfig()
+        flag = "--" + name.replace("_", "-")
+        argv = [flag] if isinstance(value, bool) else [f"{flag}={text}"]
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{name} = {text}\n")
+        for got in (self._config_seen_by_main(monkeypatch, argv),
+                    self._config_seen_by_main(monkeypatch, ["--config", str(cfg)])):
+            assert got == want
+            assert got.config_hash() == want.config_hash()

@@ -9,7 +9,6 @@ from fsm_mcmc.fsm import (
     FsmError,
     Locals,
     SharedComputation,
-    amortized_step,
     bundled_step,
     compose_nested,
     compose_sequential,
@@ -188,19 +187,16 @@ def test_amortized_step_runs_shared_between_block_and_transition():
         edges=frozenset({(1, 2), (1, 1), (2, 1)}),
         shared=SharedComputation(fn=g, sites={1: 1}),
     )
+    # the amortized variant runs this same step; only its charge differs
     z = CounterLocals()
-    out = amortized_step(machine, 1, z, g)
+    out = step(machine, 1, z)
     assert z.shared_calls == 1
     assert out.do_computation
     assert out.state == 2                # saw the fresh cache
-    # plain step on a shared-computation machine behaves identically
-    z2 = CounterLocals()
-    out2 = step(machine, 1, z2)
-    assert z2.shared_calls == 1 and out2.state == 2
     # no request -> cache untouched
-    z3 = CounterLocals()
-    out3 = amortized_step(machine, 2, z3, g)
-    assert z3.shared_calls == 0 and not out3.do_computation
+    z2 = CounterLocals()
+    out2 = step(machine, 2, z2)
+    assert z2.shared_calls == 0 and not out2.do_computation
 
 
 def test_compose_sequential_topology_and_path():

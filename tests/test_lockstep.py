@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from fsm_mcmc.lockstep import (
     CostParams,
     KernelRunError,
     TickBudgetExceeded,
-    collect_samples,
     init_batch,
     measure_block_costs,
     run_fsm_batched,
@@ -54,7 +54,7 @@ def scripted_kernel():
                                   loop_condition=lambda z: z.remaining > 0,
                                   locals_type=ScriptedLocals)
 
-    def monolithic(x, rng, target):
+    def monolithic(z):
         raise NotImplementedError  # the scripted kernel only runs as a machine
 
     return KernelBundle(
@@ -265,8 +265,38 @@ def _paired_runs(kernel, variant, m=6, n=30, seed=5):
     return bundle, barrier_batch, barrier, fsm_batch, machine
 
 
+def _counting(target, calls):
+    """``target`` counting its log-density calls in ``calls[0]``; under a
+    Gaussian-prior split, its residual log-density calls."""
+    def counted(fn):
+        def wrapper(x):
+            calls[0] += 1
+            return fn(x)
+        return wrapper
+
+    prior = target.gaussian_prior
+    if prior is not None:
+        return dataclasses.replace(target, gaussian_prior=dataclasses.replace(
+            prior, residual_log_density=counted(prior.residual_log_density)))
+    return dataclasses.replace(target, log_density=counted(target.log_density))
+
+
 class TestWorkParity:
     """Both regimes execute the same blocks natively on identical streams."""
+
+    @pytest.mark.parametrize("kernel", ["drmh", "elliptical", "slice"])
+    def test_both_regimes_make_the_same_target_calls(self, kernel):
+        bundle, base = PARITY_CASES[kernel]()
+        calls = [0]
+        target = _counting(base, calls)
+        made = []
+        for run in (run_standard_batched, run_fsm_batched):
+            batch = init_batch(bundle, target, 6, 5, init_jitter=1.0)
+            calls[0] = 0
+            run(bundle, target, batch, 30)
+            made.append(calls[0])
+        assert made[0] > 0
+        assert made[0] == made[1]
 
     @pytest.mark.parametrize("variant", ["plain", "amortized"])
     @pytest.mark.parametrize("kernel", sorted(PARITY_CASES))
@@ -293,26 +323,3 @@ class TestWorkParity:
         assert extra.min() >= 0
         assert extra.sum() <= m * (K - 1)
 
-
-class TestCollectSamples:
-    def test_all_flags_false_gives_empty(self):
-        out = collect_samples([[1.0, 2.0]], [[False, False]])
-        assert out[0].size == 0
-
-    def test_filter_semantics(self):
-        out = collect_samples([["a", "b", "c", "d"]], [[False, True, False, True]])
-        assert list(out[0]) == ["b", "d"]
-
-    def test_overshoot_truncated_to_n(self):
-        vals = [list(range(9))]
-        flags = [[True] * 9]
-        out = collect_samples(vals, flags, n=7)
-        assert list(out[0]) == list(range(7))
-
-    def test_underfull_chain_rejected(self):
-        with pytest.raises(ValueError):
-            collect_samples([[1.0]], [[True]], n=2)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            collect_samples([[1.0, 2.0]], [[True]])
