@@ -20,7 +20,7 @@ from .lockstep import (
     run_fsm_batched,
     run_standard_batched,
 )
-from .prng import RngKey, key, normal, normal_vec, split, uniform
+from .prng import RngKey, key, normal_vec, split, uniform
 from .targets import (
     TargetModel,
     correlated_mog_target,

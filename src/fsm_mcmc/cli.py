@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 import time
 import typing
@@ -419,12 +420,34 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# a value that argparse would take for a flag: a leading '-' then a digit
+# or '.', as in the offset list -5,0,5
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Spell ``--flag -5,0,5`` as ``--flag=-5,0,5``.
+
+    argparse reads a token that starts with '-' as a flag unless it is one
+    plain number, so a negative list would lose its flag's value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1]
+                and _NEGATIVE_VALUE.match(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     return RunConfig(**{f.name: getattr(args, f.name) for f in fields(RunConfig)})
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     pre, _ = parser.parse_known_args(argv)
     if pre.config:
         try:

@@ -9,6 +9,10 @@ place.  Two executors are provided:
 * :func:`bundled_step` - chain the per-state conditionals so a chain can
   fall through several states in a single tick.
 
+They are the single-call reference executors: the batched driver
+(:func:`fsm_mcmc.lockstep.run_fsm_batched`) inlines both in its tick loop,
+and tests compare it against them.
+
 Kernels that share an expensive computation (e.g. a log-density needed both
 to set a threshold and to test it) never call it inside a block.  Instead a
 block sets ``locals.needs_shared`` and the executor evaluates the shared

@@ -27,12 +27,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
 from . import fsm as fsm_mod
-from .fsm import FsmDefinition, StepOutcome
+from .fsm import FsmDefinition
 from .prng import key, split
 
 __all__ = [
@@ -334,17 +334,21 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     if step_variant == "bundled":
         order = bundled_order or fsm_mod.default_bundled_order(machine)
         fsm_mod.validate_bundled_order(machine, order)
-        step_fn: Callable[[int, Any], StepOutcome] | None = \
-            lambda k, z: fsm_mod.bundled_step(machine, k, z, order)
     else:
-        # plain and amortized advance one block per tick with the shared
-        # refresh between block and transition, exactly as fsm.step does.
-        # The driver inlines that step: calling fsm.step instead slowed the
-        # drmh state-machine run (m=256, n=100, median of 8 seeds, 2-core
-        # x86 VM) from 0.48/0.63/0.56 s to 0.56/0.80/0.81 s, 16-45% in 3 of
-        # 3 pairs.
-        step_fn = None
-    blocks = machine.blocks
+        order = ()
+    # One inlined tick for every variant.  A call runs the entry state's
+    # block, the shared refresh if requested, and the transition, and goes
+    # on while the next state ranks later in the bundled order: that is
+    # fsm.bundled_step, jumping straight to the entry state's position.
+    # Plain and amortized rank every state equal, so a call runs one block,
+    # as fsm.step does.  Inlining the bundled call rather than calling
+    # fsm.bundled_step took the drmh state-machine run (m=256, n=100,
+    # bundled, median of 8 seeds, 2-core x86 VM) from 0.32-0.44 s to
+    # 0.25-0.28 s, 4 of 4 alternating rounds (both with the PRNG windows).
+    rank = [0] * (K + 1)
+    for i, s in enumerate(order):
+        rank[s] = i
+    blocks = (None, *machine.blocks)
     transition = machine.transition
     shared_fn = machine.shared.fn if machine.shared is not None else None
 
@@ -354,64 +358,60 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     collected: list[list[np.ndarray]] = [[] for _ in range(m)]
     tick_rows: list[list[int]] = [[] for _ in range(m)] if record_sample_ticks else []
     exec_rows: dict[int, list[list[int]]] = {s: [[] for _ in range(m)] for s in loop_states}
-    pending = [{s: 0 for s in loop_states} for _ in range(m)]
-    block_totals = np.zeros(K, dtype=np.int64)
+    # per chain, (loop state, its per-sample row) and the executions of each
+    # state in the chain's unfinished sample
+    chain_rows = [[(s, exec_rows[s][j]) for s in loop_states] for j in range(m)]
+    pending = [[0] * (K + 1) for _ in range(m)]
+    executed = [0] * (K + 1)
     native_shared = 0
     ticks = 0
     counts = batch.sample_counts
+    states = batch.state_ids
+    locs = batch.locals
     active = list(range(m))  # chains still short of n samples, in index order
     t0 = time.perf_counter()
     while min(counts) < n:
         if tick_budget is not None and ticks + tick_chunk > tick_budget:
             walltime = time.perf_counter() - t0
             ledger = _fsm_ledger(bundle, params, step_variant, exec_rows,
-                                 min(counts), m, ticks, block_totals,
+                                 min(counts), m, ticks, executed,
                                  native_shared, walltime, tick_rows)
             raise TickBudgetExceeded(tick_budget, ledger, list(counts))
         for _ in range(tick_chunk):
             ticks += 1
             retired = False
             for j in active:
-                k = batch.state_ids[j]
-                z = batch.locals[j]
+                s = states[j]
+                z = locs[j]
+                pend = pending[j]
                 try:
-                    if step_fn is None:
-                        z = blocks[k - 1](z)
+                    while True:
+                        z = blocks[s](z)
                         if shared_fn is not None and z.needs_shared:
                             shared_fn(z)
                             z.needs_shared = False
                             native_shared += 1
-                        batch.state_ids[j] = transition(k, z)
-                        batch.locals[j] = z
-                        executed = (k,)
-                        flag = k == final
-                    else:
-                        out = step_fn(k, z)
-                        batch.state_ids[j] = out.state
-                        batch.locals[j] = z = out.locals
-                        if out.do_computation:
-                            native_shared += 1
-                        executed = out.executed
-                        flag = out.is_sample
+                        k = transition(s, z)
+                        executed[s] += 1
+                        pend[s] += 1
+                        if s == final:
+                            # the chain finished a sample: record it
+                            collected[j].append(z.x)
+                            for st, row in chain_rows[j]:
+                                row.append(pend[st])
+                            pending[j] = pend = [0] * (K + 1)
+                            counts[j] += 1
+                            if counts[j] == n:
+                                retired = True
+                            if record_sample_ticks:
+                                tick_rows[j].append(ticks)
+                        if rank[k] <= rank[s]:
+                            break
+                        s = k
                 except Exception as exc:  # noqa: BLE001
                     raise KernelRunError(chain=j, iteration=counts[j], cause=exc) from exc
-                pend = pending[j]
-                for s in executed:
-                    block_totals[s - 1] += 1
-                    if s in pend:
-                        pend[s] += 1
-                    if s == final:
-                        # this chain just finished a sample: flush its rows
-                        for st in loop_states:
-                            exec_rows[st][j].append(pend[st])
-                            pend[st] = 0
-                        counts[j] += 1
-                        if counts[j] == n:
-                            retired = True
-                        if record_sample_ticks:
-                            tick_rows[j].append(ticks)
-                if flag:
-                    collected[j].append(z.x)
+                states[j] = k
+                locs[j] = z
             if retired:
                 active = [j for j in active if counts[j] < n]
     walltime = time.perf_counter() - t0
@@ -421,13 +421,13 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     if samples.ndim == 2:
         samples = samples[:, :, None]
     ledger = _fsm_ledger(bundle, params, step_variant, exec_rows, n, m,
-                         ticks, block_totals, native_shared, walltime, tick_rows)
+                         ticks, executed, native_shared, walltime, tick_rows)
     return samples, ledger
 
 
 def _fsm_ledger(bundle, params: CostParams, variant: str,
                 exec_rows: dict[int, list[list[int]]], n: int, m: int,
-                ticks: int, block_totals: np.ndarray, native_shared: int,
+                ticks: int, executed: list[int], native_shared: int,
                 walltime: float, tick_rows) -> CostLedger:
     loop_execs = {}
     for s, rows in exec_rows.items():
@@ -449,7 +449,7 @@ def _fsm_ledger(bundle, params: CostParams, variant: str,
         iter_counts=iter_counts,
         loop_exec_counts=loop_execs,
         tick_count=ticks,
-        block_exec_counts=block_totals,
+        block_exec_counts=np.array(executed[1:], dtype=np.int64),
         charged_cost=ticks * tick_cost,
         walltime=walltime,
         regime=f"fsm-{variant}",

@@ -18,6 +18,23 @@ The rounds that depend only on ``(seed, stream)`` are computed once per
 stream and cached (:func:`_stream_hash`), so a draw pays only for mixing in
 its counter, as in counter-based generators (Salmon et al., "Parallel random
 numbers: as easy as 1, 2, 3", SC 2011).
+
+Windows.  Because a draw depends on nothing but its counter, draws can be
+computed ahead of use.  :func:`uniform` and :func:`normal_vec` read from a
+*window* of the 64 draws whose counters share ``counter // 64``; a window
+is filled in one numpy pass (the uniforms and the normals of all 64
+counters) the first time a draw inside it is asked for.  The array
+primitives used give the same bits as the scalar definition :func:`_bits`
+(the float conversions are exact, and array ``ndtri`` equals scalar
+``ndtri``).  Windows are aligned to multiples of 64 and 2**64 is one, so no
+window straddles the counter wrap.
+
+The store holds one window per ``(seed, stream)``: moving to the next
+window replaces the stream's previous one, so a run that replays a stream
+from its start (the second regime on the same streams) recomputes its
+draws.  At most ``_WINDOW_STORE_SIZE`` streams are kept, about 3 kB each;
+the stream stored first is evicted, which only costs a refill.  A batch of
+more chains than that refills a window on every draw.
 """
 
 from __future__ import annotations
@@ -42,6 +59,14 @@ _INV_2_53 = 2.0 ** -53
 # (seed, stream) pairs whose hash is kept; a batch holds one stream per chain
 _STREAM_CACHE_SIZE = 4096
 
+_WINDOW = 64                        # draws per window; a power of two
+_WINDOW_BASE = _MASK64 ^ (_WINDOW - 1)  # counter & _WINDOW_BASE = window start
+_WINDOW_STORE_SIZE = _STREAM_CACHE_SIZE
+_SALTED_OFFSETS = np.arange(_WINDOW, dtype=np.uint64) + np.uint64(_COUNTER_SALT)
+
+# (seed, stream) -> (window start, uniforms as a list, normals as an array)
+_windows: dict[tuple[int, int], tuple[int, list[float], np.ndarray]] = {}
+
 
 class RngKey(NamedTuple):
     """Immutable position in a random stream."""
@@ -64,6 +89,21 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
+_U11, _U27, _U30, _U31 = (np.uint64(s) for s in (11, 27, 30, 31))
+_U_MIX_A, _U_MIX_B = np.uint64(_MIX_A), np.uint64(_MIX_B)
+
+
+def _mix64_np(x: np.ndarray) -> np.ndarray:
+    # _mix64 on a uint64 array, whose arithmetic wraps modulo 2**64; returns
+    # a new array
+    x = x ^ (x >> _U30)
+    x *= _U_MIX_A
+    x ^= x >> _U27
+    x *= _U_MIX_B
+    x ^= x >> _U31
+    return x
+
+
 @functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
 def _stream_hash(seed: int, stream: int) -> int:
     """The counter-independent half of :func:`_bits`.
@@ -75,27 +115,34 @@ def _stream_hash(seed: int, stream: int) -> int:
     return _mix64(_mix64(seed + _GOLDEN) ^ _mix64(stream + _STREAM_SALT))
 
 
-def _counter_bits(h: int, counter: int) -> int:
-    """Finish :func:`_bits` from a stream hash ``h`` by mixing in the counter.
-
-    Written flat because this sits on the hot path of every draw.
-    """
-    x = (counter + _COUNTER_SALT) & _MASK64
-    x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-    x = h ^ x ^ (x >> 31)
-    x = ((x ^ (x >> 30)) * _MIX_A) & _MASK64
-    x = ((x ^ (x >> 27)) * _MIX_B) & _MASK64
-    return x ^ (x >> 31)
-
-
 def _bits(seed: int, stream: int, counter: int) -> int:
     """64 pseudo-random bits for one (seed, stream, counter) triple.
 
-    Equivalent to chained :func:`_mix64` rounds,
-    ``mix(mix(mix(seed + G) ^ mix(stream + S)) ^ mix(counter + C))``.
+    The scalar definition of every draw, equal to chained :func:`_mix64`
+    rounds ``mix(mix(mix(seed + G) ^ mix(stream + S)) ^ mix(counter + C))``.
     """
-    return _counter_bits(_stream_hash(seed, stream), counter)
+    return _mix64(_stream_hash(seed, stream) ^ _mix64(counter + _COUNTER_SALT))
+
+
+def _bits_np(seed: int, stream: int, salted: np.ndarray) -> np.ndarray:
+    """:func:`_bits` over an array of counters already offset by ``_COUNTER_SALT``."""
+    return _mix64_np(np.uint64(_stream_hash(seed, stream)) ^ _mix64_np(salted))
+
+
+def _fill_window(seed: int, stream: int, base: int):
+    """Compute and store the window of draws at counters ``base .. base + 63``.
+
+    ``base`` is a multiple of 64.  Uniforms are ``bits53 * 2^-53`` and normals
+    ``ndtri((bits53 + 0.5) * 2^-53)``, each float step exact or rounded as
+    the scalar definition rounds it.
+    """
+    b53 = (_bits_np(seed, stream, _SALTED_OFFSETS + np.uint64(base))
+           >> _U11).astype(np.float64)
+    window = (base, (b53 * _INV_2_53).tolist(), ndtri((b53 + 0.5) * _INV_2_53))
+    if (seed, stream) not in _windows and len(_windows) >= _WINDOW_STORE_SIZE:
+        del _windows[next(iter(_windows))]
+    _windows[seed, stream] = window
+    return window
 
 
 def split(k: RngKey, n_streams: int) -> list[RngKey]:
@@ -113,66 +160,54 @@ def split(k: RngKey, n_streams: int) -> list[RngKey]:
 
 def uniform(k: RngKey) -> tuple[float, RngKey]:
     """One uniform variate in [0, 1); advances the counter by 1."""
-    u = (_bits(k.seed, k.stream, k.counter) >> 11) * _INV_2_53
-    return u, RngKey(k.seed, k.stream, (k.counter + 1) & _MASK64)
+    # the window lookup is written out here and in normal_vec because it
+    # sits on the hot path of every draw
+    seed, stream, counter = k
+    base = counter & _WINDOW_BASE
+    w = _windows.get((seed, stream))
+    if w is None or w[0] != base:
+        w = _fill_window(seed, stream, base)
+    return w[1][counter - base], RngKey(seed, stream, (counter + 1) & _MASK64)
 
 
-def normal(k: RngKey) -> tuple[float, RngKey]:
-    """One standard normal variate; advances the counter by 1.
+def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
+    """A standard normal vector; consumes ``dim`` counters.
 
-    Uses the inverse CDF on the open-interval uniform
-    ``(bits53 + 0.5) * 2^-53`` so the result is always finite.
-    """
-    b = _bits(k.seed, k.stream, k.counter) >> 11
-    z = float(ndtri((b + 0.5) * _INV_2_53))
-    return z, RngKey(k.seed, k.stream, (k.counter + 1) & _MASK64)
-
-
-def normal_vec(k: RngKey, dim: int, chol_factor: np.ndarray | None = None
-               ) -> tuple[np.ndarray, RngKey]:
-    """Draw ``L @ z`` with ``z`` a standard normal vector; consumes ``dim`` counters.
-
-    ``chol_factor`` must be a dim x dim lower-triangular matrix with positive
-    diagonal; ``None`` means the identity.
+    Each entry is the inverse CDF at the open-interval uniform
+    ``(bits53 + 0.5) * 2^-53`` of its counter, so the result is always finite.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    if chol_factor is not None:
-        L = np.asarray(chol_factor, dtype=float)
-        if L.shape != (dim, dim):
-            raise ValueError(f"chol_factor has shape {L.shape}, expected {(dim, dim)}")
-        if np.any(np.triu(L, 1) != 0.0) or np.any(np.diag(L) <= 0.0):
-            raise ValueError("chol_factor must be lower-triangular with positive diagonal")
-    z = np.empty(dim)
     seed, stream, counter = k
-    h = _stream_hash(seed, stream)
-    for i in range(dim):
-        b = _counter_bits(h, counter) >> 11
-        z[i] = ndtri((b + 0.5) * _INV_2_53)
-        counter = (counter + 1) & _MASK64
-    out = z if chol_factor is None else L @ z
-    return out, RngKey(seed, stream, counter)
+    base = counter & _WINDOW_BASE
+    w = _windows.get((seed, stream))
+    if w is None or w[0] != base:
+        w = _fill_window(seed, stream, base)
+    i = counter - base
+    if i + dim <= _WINDOW:
+        z = w[2][i:i + dim].copy()  # the caller owns its vector, not a view
+    else:
+        z = np.empty(dim)
+        done = _WINDOW - i
+        z[:done] = w[2][i:]
+        while done < dim:  # the following windows, each filled afresh
+            base = (base + _WINDOW) & _MASK64
+            take = min(_WINDOW, dim - done)
+            z[done:done + take] = _fill_window(seed, stream, base)[2][:take]
+            done += take
+    return z, RngKey(seed, stream, (counter + dim) & _MASK64)
 
 
 def uniform_block(k: RngKey, count: int) -> tuple[np.ndarray, RngKey]:
     """Vectorized batch of ``count`` uniforms from consecutive counters.
 
-    Bit-identical to ``count`` successive :func:`uniform` calls; used where
-    many draws are needed at once (statistical self-tests, analysis Monte
-    Carlo).
+    Bit-identical to ``count`` successive :func:`uniform` calls, for
+    statistical tests that need many draws at once; it neither reads nor
+    fills the window store.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    ctrs = np.arange(count, dtype=np.uint64) + np.uint64(k.counter)
-    h_sc = np.uint64(_stream_hash(k.seed, k.stream))
-    h = _mix64_np(h_sc ^ _mix64_np(ctrs + np.uint64(_COUNTER_SALT)))
-    u = (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+    salted = np.arange(count, dtype=np.uint64) + np.uint64(k.counter) \
+        + np.uint64(_COUNTER_SALT)
+    u = (_bits_np(k.seed, k.stream, salted) >> _U11).astype(np.float64) * _INV_2_53
     return u, RngKey(k.seed, k.stream, (k.counter + count) & _MASK64)
-
-
-def _mix64_np(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
-    x = x ^ (x >> np.uint64(30))
-    x = x * np.uint64(_MIX_A)
-    x = x ^ (x >> np.uint64(27))
-    x = x * np.uint64(_MIX_B)
-    return x ^ (x >> np.uint64(31))

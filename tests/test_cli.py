@@ -202,6 +202,16 @@ class TestMain:
         cfg.write_text("kernle = drmh\n")
         assert main(["--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize("offsets, want", [("-5,0,5", [-5.0, 0.0, 5.0]),
+                                               ("-.5,-2e1", [-0.5, -20.0])])
+    def test_negative_list_value_after_its_flag(self, tmp_path, offsets, want):
+        out = tmp_path / "mog"
+        rc = main(["--target", "mog", "--mog-offsets", offsets, "--chains", "2",
+                   "--samples", "40", "--out", str(out)])
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mog_offsets"] == want
+
     def test_parser_and_config_round_trip(self):
         parser = build_parser()
         args = parser.parse_args(["--kernel", "nuts", "--target", "mog",

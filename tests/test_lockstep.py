@@ -1,11 +1,20 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from fsm_mcmc import analysis
-from fsm_mcmc.fsm import Locals, compose_single_loop
+from fsm_mcmc import analysis, prng
+from fsm_mcmc.fsm import (
+    FsmError,
+    Locals,
+    bundled_step,
+    compose_single_loop,
+    default_bundled_order,
+    step,
+    validate_bundled_order,
+)
 from fsm_mcmc.kernels import drmh_kernel, elliptical_kernel, nuts_kernel, slice_kernel
 from fsm_mcmc.kernels.base import KernelBundle
 from fsm_mcmc.lockstep import (
@@ -246,6 +255,7 @@ class TestFsmDriver:
 
 PARITY_CASES = {
     "drmh": lambda: (drmh_kernel(100, 0.1), standard_normal_target(1)),
+    "drmh-split": lambda: (drmh_kernel(20, 0.8, split_body=True), standard_normal_target(1)),
     "slice": lambda: (slice_kernel(1.0), standard_normal_target(1)),
     "elliptical": lambda: (elliptical_kernel(), conjugate_target()),
     "nuts": lambda: (nuts_kernel(0.75, max_depth=6), standard_normal_target(2)),
@@ -323,3 +333,110 @@ class TestWorkParity:
         assert extra.min() >= 0
         assert extra.sum() <= m * (K - 1)
 
+
+    def test_each_regime_fills_its_own_draw_windows(self, monkeypatch):
+        # the PRNG keeps one window per stream, so the state machine, run on
+        # the streams the barrier has just used, computes every draw again
+        bundle, target = PARITY_CASES["drmh"]()
+        fills = [0]
+        fill = prng._fill_window
+
+        def counted(*args):
+            fills[0] += 1
+            return fill(*args)
+
+        monkeypatch.setattr(prng, "_fill_window", counted)
+        made = []
+        for run in (run_standard_batched, run_fsm_batched):
+            batch = init_batch(bundle, target, 6, 5, init_jitter=1.0)
+            fills[0] = 0
+            run(bundle, target, batch, 80)
+            made.append(fills[0])
+        assert made[0] >= 6 * 2  # 80 samples take over 64 draws per chain
+        assert made[0] == made[1]
+
+
+def _valid_orders(machine):
+    """The default bundled order, its reverse, and the first valid order
+    whose final state is not first, where one exists."""
+    K = machine.n_states
+    orders = [default_bundled_order(machine), tuple(range(K, 0, -1))]
+    for order in itertools.permutations(range(1, K + 1)):
+        if order[0] != K:
+            try:
+                validate_bundled_order(machine, order)
+            except FsmError:
+                continue
+            orders.append(order)
+            break
+    return orders
+
+
+def _reference_run(bundle, target, m, n, seed, order):
+    """Step each chain with fsm.step (order None) or fsm.bundled_step, one
+    call per chain per tick, until every chain has n samples."""
+    machine = bundle.fsm
+    batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
+    states, locs = [1] * m, list(batch.locals)
+    samples = [[] for _ in range(m)]
+    sample_ticks = [[] for _ in range(m)]
+    executed = np.zeros(machine.n_states, dtype=np.int64)
+    tick = 0
+    while min(len(x) for x in samples) < n:
+        tick += 1
+        for j in range(m):
+            if len(samples[j]) == n:
+                continue
+            if order is None:
+                out = step(machine, states[j], locs[j])
+            else:
+                out = bundled_step(machine, states[j], locs[j], order)
+            states[j], locs[j] = out.state, out.locals
+            for s in out.executed:
+                executed[s - 1] += 1
+            if out.is_sample:
+                samples[j].append(out.locals.x)
+                sample_ticks[j].append(tick)
+    return (np.stack([np.asarray(x) for x in samples], axis=1), states, executed,
+            np.array(sample_ticks).T, [z.rng for z in locs])
+
+
+def _counting_shared(bundle, calls):
+    machine = bundle.fsm
+    if machine.shared is None:
+        return bundle
+
+    def counted(z):
+        calls[0] += 1
+        machine.shared.fn(z)
+
+    shared = dataclasses.replace(machine.shared, fn=counted)
+    return dataclasses.replace(bundle, fsm=dataclasses.replace(machine, shared=shared))
+
+
+class TestInlinedTick:
+    """The driver's inlined tick runs what fsm.step / fsm.bundled_step run."""
+
+    @pytest.mark.parametrize("kernel", sorted(PARITY_CASES))
+    def test_driver_equals_reference_executors(self, kernel):
+        base, target = PARITY_CASES[kernel]()
+        m, n, seed = 5, 20, 11
+        runs = [("plain", None), ("amortized", None)]
+        runs += [("bundled", order) for order in _valid_orders(base.fsm)]
+        assert len({order for _, order in runs}) == len(runs) - 1
+        for variant, order in runs:
+            ref_calls, calls = [0], [0]
+            ref = _reference_run(_counting_shared(base, ref_calls), target, m, n, seed,
+                                 order)
+            bundle = _counting_shared(base, calls)
+            batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
+            got, ledger = run_fsm_batched(bundle, target, batch, n, step_variant=variant,
+                                          bundled_order=order, record_sample_ticks=True,
+                                          tick_chunk=3)
+            samples, states, executed, sample_ticks, rngs = ref
+            assert np.array_equal(got, samples), (variant, order)
+            assert batch.state_ids == states, (variant, order)
+            assert np.array_equal(ledger.block_exec_counts, executed), (variant, order)
+            assert np.array_equal(ledger.sample_ticks, sample_ticks), (variant, order)
+            assert [z.rng for z in batch.locals] == rngs
+            assert ledger.native_shared_evals == calls[0] == ref_calls[0]
