@@ -3,9 +3,8 @@
 The quantities here are all about the inner-loop iteration counts N_ij
 (chain j's work for its i-th sample):
 
-* ``barrier_cost`` / ``desync_cost`` - the two idealized totals: with a
-  per-iteration barrier every iteration pays the slowest chain, giving
-  sum_i max_j N_ij; fully de-synchronized chains pay max_j sum_i N_ij.
+* ``barrier_cost`` - the idealized total with a per-iteration barrier,
+  where every iteration pays the slowest chain: sum_i max_j N_ij.
 * ``efficiency_model`` - E(m), the modeled long-run cost ratio of the
   barrier regime over the state-machine regime given block costs and the
   dispatch factor alpha.
@@ -33,7 +32,6 @@ from .lockstep import CostParams
 
 __all__ = [
     "barrier_cost",
-    "desync_cost",
     "efficiency_model",
     "efficiency_report",
     "EfficiencyReport",
@@ -44,7 +42,6 @@ __all__ = [
     "PropBoundReport",
     "concentration_check",
     "ConcentrationReport",
-    "hoeffding_rate",
     "effective_sample_size",
     "EssSummary",
 ]
@@ -54,12 +51,6 @@ def barrier_cost(iter_counts: np.ndarray) -> float:
     """Total loop iterations paid with a per-iteration barrier: sum_i max_j N_ij."""
     N = np.asarray(iter_counts)
     return float(N.max(axis=1).sum())
-
-
-def desync_cost(iter_counts: np.ndarray) -> float:
-    """Total loop iterations paid without barriers: max_j sum_i N_ij."""
-    N = np.asarray(iter_counts)
-    return float(N.sum(axis=0).max())
 
 
 def _loop_index(params: CostParams, loop_state: int | None) -> int:
@@ -202,7 +193,6 @@ def _discrete_mean_and_max_mean(values: np.ndarray, probs: np.ndarray, m: int
                                 ) -> tuple[float, float]:
     """Exact E[N] and E[max of m iid N] for a discrete distribution on >= 0 ints."""
     mean = float(values @ probs)
-    cdf = np.cumsum(probs)
     # E[max] = sum_{t >= 0} P(max > t) over the integer grid up to max value
     top = int(values.max())
     pmf_full = np.zeros(top + 1)
@@ -258,13 +248,6 @@ def verify_prop_bound(trials: int, seed: int = 0, tol: float = 1e-12) -> PropBou
             rel = abs(e_m - r_m) / max(abs(r_m), 1e-300)
             report.tightness_max_rel_err = max(report.tightness_max_rel_err, rel)
     return report
-
-
-def hoeffding_rate(n: int, delta: float, scale: float = 1.0) -> float:
-    """The n^{-1/2} ln(2/delta) concentration envelope, up to ``scale``."""
-    if n < 1 or not 0 < delta < 1:
-        raise ValueError("need n >= 1 and delta in (0, 1)")
-    return scale * math.log(2.0 / delta) / math.sqrt(n)
 
 
 @dataclass(frozen=True)

@@ -134,6 +134,11 @@ class RunConfig:
                 bundle.check_target(target)
             except KernelError as exc:
                 errors.append(str(exc))
+        if not errors and self.cost_model not in ("default", "measured"):
+            try:
+                resolve_cost_params(self, bundle, target)
+            except (OSError, TypeError, ValueError) as exc:  # a malformed file
+                errors.append(f"cost model {self.cost_model}: {exc}")
         return errors
 
     def config_hash(self) -> str:
@@ -173,6 +178,12 @@ def build_kernel(config: RunConfig):
 
 
 def resolve_cost_params(config: RunConfig, bundle, target) -> CostParams:
+    """The run's cost parameters, always bound to the kernel's machine.
+
+    A JSON cost model carries prices only: ``block_costs`` (one per state)
+    and optionally ``alpha`` and ``shared_cost``.  Any other key is an error;
+    the loop states and shared sites come from the machine.
+    """
     if config.cost_model == "default":
         defaults = bundle.default_costs
         if defaults.shared_cost > 0 and target.log_density_cost != 1.0:
@@ -183,13 +194,13 @@ def resolve_cost_params(config: RunConfig, bundle, target) -> CostParams:
         from .lockstep import measure_block_costs
         return measure_block_costs(bundle, target, seed=config.seeds[0])
     spec = json.loads(Path(config.cost_model).read_text())
-    return CostParams(
-        block_costs=tuple(spec["block_costs"]),
-        alpha=float(spec.get("alpha", 1.0)),
-        loop_states=tuple(spec.get("loop_states", sorted(bundle.fsm.loop_states))),
-        shared_cost=float(spec.get("shared_cost", 0.0)),
-        shared_sites=tuple(spec.get("shared_sites", ())),
-    )
+    keys = set(spec) if isinstance(spec, dict) else set()
+    if "block_costs" not in keys or keys - {"block_costs", "alpha", "shared_cost"}:
+        raise ValueError("a cost file is a JSON object of block_costs and optionally "
+                         f"alpha and shared_cost, not {spec!r}")
+    return CostParams.for_fsm(bundle.fsm, block_costs=map(float, spec["block_costs"]),
+                              alpha=float(spec.get("alpha", 1.0)),
+                              shared_cost=float(spec.get("shared_cost", 1.0)))
 
 
 @dataclass
@@ -373,7 +384,8 @@ def _parse_config_file(path: str) -> dict:
 
 _HELP = {
     "seeds": "comma-separated seed list",
-    "cost_model": "'default', 'measured', or a JSON file with block_costs/alpha",
+    "cost_model": "'default', 'measured', or a JSON file with block_costs, alpha "
+                  "and shared_cost",
 }
 _TYPES = typing.get_type_hints(RunConfig)
 

@@ -72,17 +72,17 @@ class Locals:
     """Base class for the per-chain record threaded through blocks.
 
     Subclasses add kernel-specific fields.  ``x`` is the current sample,
-    ``rng`` the chain's stream position, ``n_inner`` a per-sample scratch
-    counter, and ``needs_shared`` the request flag for the kernel's shared
-    computation (if any).
+    ``rng`` the chain's stream position, and ``needs_shared`` the request
+    flag for the kernel's shared computation (if any).  Blocks keep no loop
+    counters: the drivers count block executions, and a monolithic kernel
+    counts its own while loops.
     """
 
-    __slots__ = ("x", "rng", "n_inner", "needs_shared")
+    __slots__ = ("x", "rng", "needs_shared")
 
     def __init__(self, x, rng):
         self.x = x
         self.rng = rng
-        self.n_inner = 0
         self.needs_shared = False
 
 

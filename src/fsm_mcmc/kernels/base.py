@@ -26,8 +26,9 @@ class KernelError(ValueError):
 
 
 # A monolithic transition kernel: draws one sample by running the machine's
-# blocks as while loops on the chain's Locals in place, and returns
-# {loop-state id: number of executions for this sample}.
+# blocks as while loops on the chain's Locals in place, counting them, and
+# returns {loop-state id: number of executions for this sample} for every
+# loop state of the machine.
 MonolithicKernel = Callable[[Any], dict[int, int]]
 
 

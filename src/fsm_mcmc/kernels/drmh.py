@@ -71,7 +71,6 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
     scale = proposal_scale
 
     def _init(z: DrmhLocals) -> DrmhLocals:
-        z.n_inner = 0
         z.try_index = 0
         z.accepted = False
         z.lp_best = _NEG_INF
@@ -80,7 +79,6 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
         return z
 
     def _propose(z: DrmhLocals) -> DrmhLocals:
-        z.n_inner += 1
         z.try_index += 1
         eps, z.rng = normal_vec(z.rng, z.x.shape[0])
         y = z.y + scale * eps
@@ -105,7 +103,6 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
 
     # split-body sub-blocks; same draw order and arithmetic as _propose
     def _p_draw(z: DrmhLocals) -> DrmhLocals:
-        z.n_inner += 1
         z.try_index += 1
         eps, z.rng = normal_vec(z.rng, z.x.shape[0])
         z.y_cand = z.y + scale * eps
@@ -165,7 +162,8 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
         while _continue(z):
             _propose(z)
         _done(z)
-        return {s: z.n_inner for s in loop_states}
+        # every loop state runs once per proposal stage
+        return {s: z.try_index for s in loop_states}
 
     # INIT and DONE are bookkeeping-only; the proposal stages carry the work
     if split_body:

@@ -22,7 +22,7 @@ import numpy as np
 from ..fsm import Locals, SharedComputation, compose_single_loop
 from ..lockstep import CostParams
 from ..prng import normal_vec, uniform
-from .base import KernelBundle, KernelError, check_log_density
+from .base import KernelBundle, check_log_density
 
 __all__ = ["elliptical_kernel", "EllipticalLocals"]
 
@@ -31,22 +31,15 @@ _TWO_PI = 2.0 * math.pi
 
 class EllipticalLocals(Locals):
     __slots__ = ("target", "logf", "chol", "identity_prior", "lp_fx", "nu",
-                 "logy", "theta", "tmin", "tmax", "xprop", "lp_fprop", "n_shrink")
+                 "logy", "theta", "tmin", "tmax", "xprop", "lp_fprop")
 
     def __init__(self, x, rng, target):
         super().__init__(x, rng)
-        prior = target.gaussian_prior
-        if prior is None:
-            raise KernelError("elliptical slice sampling needs a Gaussian-prior split")
-        L = np.asarray(prior.chol, dtype=float)
-        d = x.shape[0]
-        if L.shape != (d, d) or np.any(np.triu(L, 1) != 0.0) or np.any(np.diag(L) <= 0.0):
-            raise KernelError(f"prior factor must be {d}x{d} lower-triangular "
-                              "with positive diagonal")
+        prior = target.gaussian_prior  # checked by the kernel's requires hook
         self.target = target
         self.logf = prior.residual_log_density
-        self.chol = L
-        self.identity_prior = bool(np.array_equal(L, np.eye(d)))
+        self.chol = np.asarray(prior.chol, dtype=float)
+        self.identity_prior = bool(np.array_equal(self.chol, np.eye(x.shape[0])))
         self.lp_fx = check_log_density(self.logf(x), "INIT")
         self.nu = np.zeros_like(x)
         self.logy = self.lp_fx
@@ -55,7 +48,6 @@ class EllipticalLocals(Locals):
         self.tmax = 0.0
         self.xprop = x
         self.lp_fprop = self.lp_fx
-        self.n_shrink = 0
 
 
 def _refresh_residual(z: EllipticalLocals) -> None:
@@ -66,8 +58,6 @@ def elliptical_kernel() -> KernelBundle:
     """Elliptical slice transition kernel (no tuning parameters)."""
 
     def _init(z: EllipticalLocals) -> EllipticalLocals:
-        z.n_inner = 0
-        z.n_shrink = 0
         d = z.x.shape[0]
         eps, z.rng = normal_vec(z.rng, d)
         z.nu = eps if z.identity_prior else z.chol @ eps
@@ -82,8 +72,6 @@ def elliptical_kernel() -> KernelBundle:
         return z
 
     def _shrink(z: EllipticalLocals) -> EllipticalLocals:
-        z.n_inner += 1
-        z.n_shrink += 1
         if z.theta < 0.0:
             z.tmin = z.theta
         else:
@@ -114,6 +102,10 @@ def elliptical_kernel() -> KernelBundle:
     def requires(target):
         if target.gaussian_prior is None:
             return ["target lacks the Gaussian-prior decomposition"]
+        L = np.asarray(target.gaussian_prior.chol, dtype=float)
+        d = target.dim
+        if L.shape != (d, d) or np.any(np.triu(L, 1) != 0.0) or np.any(np.diag(L) <= 0.0):
+            return [f"prior factor must be {d}x{d} lower-triangular with positive diagonal"]
         return []
 
     def init_locals(x0, rng, target):
@@ -123,12 +115,14 @@ def elliptical_kernel() -> KernelBundle:
         _init(z)
         _refresh_residual(z)
         z.needs_shared = False
+        n_shrink = 0
         while _below_threshold(z):
             _shrink(z)
             _refresh_residual(z)
             z.needs_shared = False
+            n_shrink += 1
         _done(z)
-        return {2: z.n_shrink}
+        return {2: n_shrink}
 
     return KernelBundle(
         name="elliptical",

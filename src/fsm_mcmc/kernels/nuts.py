@@ -68,15 +68,13 @@ class NutsLocals(Locals):
                  "xprop", "log_sum_w", "depth", "stopped", "diverged",
                  "direction", "steps_todo", "steps_done",
                  "sub_log_sum_w", "sub_xprop", "sub_stop",
-                 "ck_x", "ck_p", "n_double")
+                 "ck_x", "ck_p")
 
     def __init__(self, x, rng, target, max_depth):
         super().__init__(x, rng)
         self.target = target
         self.lp_grad = target.log_density_and_grad
         if self.lp_grad is None:
-            if target.gradient is None:
-                raise KernelError("NUTS needs a target gradient")
             lp, grad = target.log_density, target.gradient
             self.lp_grad = lambda pos: (lp(pos), grad(pos))
         d = x.shape[0]
@@ -97,7 +95,6 @@ class NutsLocals(Locals):
         self.sub_stop = False
         self.ck_x = np.zeros((max_depth, d))
         self.ck_p = np.zeros((max_depth, d))
-        self.n_double = 0
 
 
 def nuts_kernel(step_size: float, max_depth: int = 10,
@@ -112,8 +109,6 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
     eps = step_size
 
     def _init(z: NutsLocals) -> NutsLocals:
-        z.n_inner = 0
-        z.n_double = 0
         d = z.x.shape[0]
         p0, z.rng = normal_vec(z.rng, d)
         lp, grad = z.lp_grad(z.x)
@@ -147,11 +142,9 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         z.steps_done = 0
         z.sub_log_sum_w = _NEG_INF
         z.sub_stop = False
-        z.n_double += 1
         return z
 
     def _integrate(z: NutsLocals) -> NutsLocals:
-        z.n_inner += 1
         eff = eps * z.direction
         p_half = z.cp + 0.5 * eff * z.cg
         x_new = z.cx + eff * p_half
@@ -236,15 +229,16 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
 
     def monolithic(z: NutsLocals) -> dict[int, int]:
         _init(z)
-        n_check = 0
+        n_outer = n_integrate = 0
         while _outer_continue(z):
             _double(z)
             while _inner_continue(z):
                 _integrate(z)
+                n_integrate += 1
             _check(z)
-            n_check += 1
+            n_outer += 1
         _done(z)
-        return {2: z.n_double, 3: z.n_inner, 4: n_check}
+        return {2: n_outer, 3: n_integrate, 4: n_outer}
 
     return KernelBundle(
         name="nuts",

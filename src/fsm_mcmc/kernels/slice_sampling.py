@@ -28,7 +28,7 @@ __all__ = ["slice_kernel", "SliceLocals"]
 
 class SliceLocals(Locals):
     __slots__ = ("target", "lp_x", "logy", "left", "right", "lp_left", "lp_right",
-                 "n_expand", "n_shrink", "x1", "lp_x1", "accepted", "cap_hits")
+                 "n_expand", "x1", "lp_x1", "accepted", "cap_hits")
 
     def __init__(self, x, rng, target):
         super().__init__(x, rng)
@@ -40,7 +40,6 @@ class SliceLocals(Locals):
         self.left = self.right = float(x[0])
         self.lp_left = self.lp_right = self.lp_x
         self.n_expand = 0
-        self.n_shrink = 0
         self.x1 = float(x[0])
         self.lp_x1 = self.lp_x
         self.accepted = False
@@ -59,9 +58,7 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         return check_log_density(z.target.log_density(np.array([v])), "slice")
 
     def _init_expand(z: SliceLocals) -> SliceLocals:
-        z.n_inner = 0
         z.n_expand = 0
-        z.n_shrink = 0
         z.accepted = False
         u, z.rng = uniform(z.rng)
         z.logy = z.lp_x + math.log(1.0 - u)
@@ -74,7 +71,6 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         return z
 
     def _expand(z: SliceLocals) -> SliceLocals:
-        z.n_inner += 1
         z.n_expand += 1
         if z.lp_left > z.logy:
             z.left -= w
@@ -91,8 +87,6 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
                 and z.n_expand < max_expansions)
 
     def _shrink(z: SliceLocals) -> SliceLocals:
-        z.n_inner += 1
-        z.n_shrink += 1
         u, z.rng = uniform(z.rng)
         z.x1 = z.left + u * (z.right - z.left)
         z.lp_x1 = _logp(z, z.x1)
@@ -136,10 +130,12 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         _init_expand(z)
         while _expand_continue(z):
             _expand(z)
+        n_shrink = 0
         while _shrink_continue(z):
             _shrink(z)
+            n_shrink += 1
         _done(z)
-        return {2: z.n_expand, 4: z.n_shrink}
+        return {2: z.n_expand, 4: n_shrink}
 
     return KernelBundle(
         name="slice",

@@ -9,8 +9,15 @@ run-all-branches-and-mask model of batched accelerators:
 * :func:`run_fsm_batched` - every tick advances every chain one executor
   call; the charge per tick is alpha x (sum of all block costs), because a
   masked batch executes every branch.  The loop runs until every chain has
-  its n samples, in chunks of 100 ticks between condition checks, and every
-  tick of every chunk is charged.
+  its n samples, in chunks of ``TICK_CHUNK`` ticks between condition checks,
+  and every tick of every chunk is charged.
+
+Both drivers record a finished sample in one place: chain j's i-th sample,
+its per-loop-state execution counts and (state machine) its tick go to row
+i, column j of (n, m) arrays allocated before the run.  The loop states
+recorded are the machine's; the kernel's inner-iteration count N sums its
+``iter_states`` among them.  :func:`measure_block_costs` calibrates block
+costs by timing the blocks of a short run of the state-machine driver.
 
 Physically each chain only executes its own active block, and a chain stops
 stepping once it has its n samples; the masking cost is a *model*, so the
@@ -26,7 +33,7 @@ regimes are bit-identical for identical streams.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
 import numpy as np
@@ -146,9 +153,12 @@ class CostParams:
     @staticmethod
     def for_fsm(fsm: FsmDefinition, block_costs=None, alpha: float = 1.0,
                 shared_cost: float = 1.0) -> "CostParams":
-        """Equal-unit-cost parameters bound to a machine's topology."""
+        """Parameters bound to a machine's topology: its loop states and its
+        shared-computation sites; block costs default to one unit each."""
         K = fsm.n_states
         costs = tuple(block_costs) if block_costs is not None else (1.0,) * K
+        if len(costs) != K:
+            raise ValueError(f"{len(costs)} block costs for a {K}-state kernel")
         sites = tuple(fsm.shared.sites.get(k, 0) for k in range(1, K + 1)) \
             if fsm.shared is not None else (0,) * K
         return CostParams(
@@ -252,12 +262,12 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
     params = cost_params or bundle.default_costs
     fsm = bundle.fsm
     K = fsm.n_states
-    loop_states = tuple(sorted(params.loop_states or fsm.loop_states))
-    if not set(loop_states) <= fsm.loop_states:
+    loop_states = tuple(sorted(fsm.loop_states))
+    if params.loop_states and tuple(sorted(params.loop_states)) != loop_states:
         raise ValueError(
-            f"cost loop_states {loop_states} are not loop states of the kernel"
+            f"cost loop_states {params.loop_states} are not the kernel's loop "
+            f"states {loop_states}"
         )
-    record_states = tuple(sorted(set(fsm.loop_states) | set(bundle.iter_states)))
     full = params.full_block_costs()
     if len(full) != K:
         raise ValueError(f"{len(full)} block costs for a {K}-state kernel")
@@ -265,8 +275,7 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
     m = batch.m
     d = target.dim
     samples = np.empty((n, m, d))
-    loop_execs = {s: np.zeros((n, m), dtype=np.int64) for s in record_states}
-    block_totals = np.zeros(K, dtype=np.int64)
+    loop_execs = {s: np.zeros((n, m), dtype=np.int64) for s in loop_states}
     charged = 0.0
     t0 = time.perf_counter()
     for i in range(n):
@@ -278,26 +287,21 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
                 raise KernelRunError(chain=j, iteration=i, cause=exc) from exc
             samples[i, j] = z.x
             for s, cnt in execs.items():
-                if s in loop_execs:
-                    loop_execs[s][i, j] = cnt
-                block_totals[s - 1] += cnt
+                loop_execs[s][i, j] = cnt
             batch.sample_counts[j] += 1
-        for s in range(1, K + 1):  # non-loop blocks run once per sample
-            if s not in record_states:
-                block_totals[s - 1] += m
         it_cost = nonloop_cost
         for s in loop_states:
             it_cost += full[s - 1] * float(loop_execs[s][i].max())
         charged += it_cost
     walltime = time.perf_counter() - t0
-    iter_counts = np.zeros((n, m), dtype=np.int64)
-    for s in bundle.iter_states:
-        iter_counts += loop_execs[s]
+    # a non-loop block runs once per sample
+    block_totals = [loop_execs[s].sum() if s in loop_execs else n * m
+                    for s in range(1, K + 1)]
     ledger = CostLedger(
-        iter_counts=iter_counts,
+        iter_counts=sum(loop_execs[s] for s in bundle.iter_states),
         loop_exec_counts=loop_execs,
         tick_count=n,
-        block_exec_counts=block_totals,
+        block_exec_counts=np.array(block_totals, dtype=np.int64),
         charged_cost=charged,
         walltime=walltime,
         regime="standard",
@@ -310,17 +314,21 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                     cost_params: CostParams | None = None,
                     tick_budget: int | None = None,
                     bundled_order: tuple[int, ...] | None = None,
-                    record_sample_ticks: bool = False,
-                    tick_chunk: int = TICK_CHUNK,
                     ) -> tuple[np.ndarray, CostLedger]:
     """Run the batch through the state machine until every chain has n samples.
 
     Every tick applies the chosen executor to each chain that is still short
     of n samples; a chain leaves the batch in the call that finishes its n-th
-    sample.  Ticks run in chunks of ``tick_chunk`` between loop-condition
+    sample.  Ticks run in chunks of ``TICK_CHUNK`` between loop-condition
     checks, and every tick is charged ``cost_params.tick_cost(step_variant)``
     whether or not any chain is still stepping, so the model charge is that of
     a masked batch that runs to the end of the chunk.
+
+    A finished sample, its loop-state counts and its tick are written at row
+    ``sample_counts[j]`` of preallocated (n, m) arrays, as the barrier writes
+    its rows.  When ``tick_budget`` would be overrun, the
+    :class:`TickBudgetExceeded` ledger holds the first ``min(sample_counts)``
+    rows.
     """
     _validate_run_args(batch, n)
     bundle.check_target(target)
@@ -354,13 +362,11 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
 
     m = batch.m
     final = machine.final
-    loop_states = tuple(sorted(set(machine.loop_states) | set(bundle.iter_states)))
-    collected: list[list[np.ndarray]] = [[] for _ in range(m)]
-    tick_rows: list[list[int]] = [[] for _ in range(m)] if record_sample_ticks else []
-    exec_rows: dict[int, list[list[int]]] = {s: [[] for _ in range(m)] for s in loop_states}
-    # per chain, (loop state, its per-sample row) and the executions of each
-    # state in the chain's unfinished sample
-    chain_rows = [[(s, exec_rows[s][j]) for s in loop_states] for j in range(m)]
+    samples = np.empty((n, m, target.dim))
+    loop_execs = {s: np.zeros((n, m), dtype=np.int64) for s in sorted(machine.loop_states)}
+    sample_ticks = np.zeros((n, m), dtype=np.int64)
+    loop_rows = tuple(loop_execs.items())
+    # per chain, the executions of each state in its unfinished sample
     pending = [[0] * (K + 1) for _ in range(m)]
     executed = [0] * (K + 1)
     native_shared = 0
@@ -371,13 +377,12 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     active = list(range(m))  # chains still short of n samples, in index order
     t0 = time.perf_counter()
     while min(counts) < n:
-        if tick_budget is not None and ticks + tick_chunk > tick_budget:
+        if tick_budget is not None and ticks + TICK_CHUNK > tick_budget:
             walltime = time.perf_counter() - t0
-            ledger = _fsm_ledger(bundle, params, step_variant, exec_rows,
-                                 min(counts), m, ticks, executed,
-                                 native_shared, walltime, tick_rows)
+            ledger = _fsm_ledger(bundle, params, step_variant, min(counts), loop_execs,
+                                 sample_ticks, ticks, executed, native_shared, walltime)
             raise TickBudgetExceeded(tick_budget, ledger, list(counts))
-        for _ in range(tick_chunk):
+        for _ in range(TICK_CHUNK):
             ticks += 1
             retired = False
             for j in active:
@@ -396,15 +401,15 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                         pend[s] += 1
                         if s == final:
                             # the chain finished a sample: record it
-                            collected[j].append(z.x)
-                            for st, row in chain_rows[j]:
-                                row.append(pend[st])
+                            i = counts[j]
+                            samples[i, j] = z.x
+                            sample_ticks[i, j] = ticks
+                            for st, rows in loop_rows:
+                                rows[i, j] = pend[st]
                             pending[j] = pend = [0] * (K + 1)
-                            counts[j] += 1
-                            if counts[j] == n:
+                            counts[j] = i + 1
+                            if i + 1 == n:
                                 retired = True
-                            if record_sample_ticks:
-                                tick_rows[j].append(ticks)
                         if rank[k] <= rank[s]:
                             break
                         s = k
@@ -415,38 +420,20 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
             if retired:
                 active = [j for j in active if counts[j] < n]
     walltime = time.perf_counter() - t0
-    # a chain retires in the call that flags its n-th sample, so each
-    # buffer holds exactly n samples
-    samples = np.stack([np.asarray(ch) for ch in collected], axis=1)
-    if samples.ndim == 2:
-        samples = samples[:, :, None]
-    ledger = _fsm_ledger(bundle, params, step_variant, exec_rows, n, m,
-                         ticks, executed, native_shared, walltime, tick_rows)
+    ledger = _fsm_ledger(bundle, params, step_variant, n, loop_execs, sample_ticks,
+                         ticks, executed, native_shared, walltime)
     return samples, ledger
 
 
-def _fsm_ledger(bundle, params: CostParams, variant: str,
-                exec_rows: dict[int, list[list[int]]], n: int, m: int,
+def _fsm_ledger(bundle, params: CostParams, variant: str, rows: int,
+                loop_execs: dict[int, np.ndarray], sample_ticks: np.ndarray,
                 ticks: int, executed: list[int], native_shared: int,
-                walltime: float, tick_rows) -> CostLedger:
-    loop_execs = {}
-    for s, rows in exec_rows.items():
-        mat = np.zeros((n, m), dtype=np.int64)
-        for j in range(m):
-            mat[:, j] = rows[j][:n]
-        loop_execs[s] = mat
-    iter_counts = np.zeros((n, m), dtype=np.int64)
-    for s in bundle.iter_states:
-        if s in loop_execs:
-            iter_counts += loop_execs[s]
+                walltime: float) -> CostLedger:
+    """The ledger of the first ``rows`` samples of every chain."""
+    loop_execs = {s: a[:rows] for s, a in loop_execs.items()}
     tick_cost = params.tick_cost(variant)
-    sample_ticks = None
-    if tick_rows:
-        sample_ticks = np.zeros((n, m), dtype=np.int64)
-        for j in range(m):
-            sample_ticks[:, j] = tick_rows[j][:n]
     return CostLedger(
-        iter_counts=iter_counts,
+        iter_counts=sum(loop_execs[s] for s in bundle.iter_states),
         loop_exec_counts=loop_execs,
         tick_count=ticks,
         block_exec_counts=np.array(executed[1:], dtype=np.int64),
@@ -456,45 +443,43 @@ def _fsm_ledger(bundle, params: CostParams, variant: str,
         tick_cost=tick_cost,
         shared_evals_per_tick=params.shared_evals_per_tick(variant),
         native_shared_evals=native_shared,
-        sample_ticks=sample_ticks,
+        sample_ticks=sample_ticks[:rows],
     )
 
 
-def measure_block_costs(bundle, target, m: int = 8, seed: int = 0,
-                        ticks: int = 200) -> CostParams:
-    """Calibrate per-block costs from native walltimes on a scratch batch.
+def measure_block_costs(bundle, target, seed: int = 0) -> CostParams:
+    """Calibrate per-block costs from native walltimes.
 
-    Runs ``ticks`` plain ticks timing every block execution (and every shared
-    evaluation separately); returns cost parameters in seconds per execution
-    with alpha = 1.  Measured costs vary run to run, so they trade the
-    byte-identical-output guarantee for physical realism.
+    Runs a short plain calibration (8 chains, 25 samples each) through
+    :func:`run_fsm_batched` on a copy of the bundle whose blocks and shared
+    function are wrapped in timers, and divides each one's seconds by the
+    ledger's ``block_exec_counts`` and ``native_shared_evals``.  Returns
+    cost parameters in seconds per execution with alpha = 1.  Measured costs
+    vary run to run, so they trade the byte-identical-output guarantee for
+    physical realism.
     """
-    batch = init_batch(bundle, target, m, seed)
     machine = bundle.fsm
-    K = machine.n_states
-    totals = np.zeros(K)
-    counts = np.zeros(K, dtype=np.int64)
-    shared_total = 0.0
-    shared_count = 0
-    for _ in range(ticks):
-        for j in range(m):
-            k = batch.state_ids[j]
-            z = batch.locals[j]
-            t0 = time.perf_counter()
-            z = machine.blocks[k - 1](z)
-            totals[k - 1] += time.perf_counter() - t0
-            counts[k - 1] += 1
-            if machine.shared is not None and z.needs_shared:
-                t0 = time.perf_counter()
-                machine.shared.fn(z)
-                shared_total += time.perf_counter() - t0
-                shared_count += 1
-                z.needs_shared = False
-            batch.locals[j] = z
-            batch.state_ids[j] = machine.transition(k, z)
-    block_costs = tuple(
-        float(totals[i] / counts[i]) if counts[i] else 0.0 for i in range(K)
-    )
-    shared_cost = shared_total / shared_count if shared_count else 0.0
-    return CostParams.for_fsm(machine, block_costs=block_costs, shared_cost=shared_cost)
+    seconds = [0.0] * (machine.n_states + 1)  # [0]: the shared function
+    clock = time.perf_counter
 
+    def timed(fn, slot):
+        def run(z):
+            t0 = clock()
+            out = fn(z)
+            seconds[slot] += clock() - t0
+            return out
+        return run
+
+    shared = machine.shared
+    if shared is not None:
+        shared = replace(shared, fn=timed(shared.fn, 0))
+    timed_bundle = replace(bundle, fsm=replace(
+        machine, shared=shared,
+        blocks=tuple(timed(b, k) for k, b in enumerate(machine.blocks, start=1))))
+    batch = init_batch(timed_bundle, target, 8, seed)
+    _, ledger = run_fsm_batched(timed_bundle, target, batch, 25)
+    block_costs = tuple(t / c if c else 0.0
+                        for t, c in zip(seconds[1:], ledger.block_exec_counts.tolist()))
+    evals = ledger.native_shared_evals
+    return CostParams.for_fsm(machine, block_costs=block_costs,
+                              shared_cost=seconds[0] / evals if evals else 0.0)

@@ -14,10 +14,10 @@ Conventions:
   counter,
 * no cryptographic claims; the mixer is a splitmix64-style finalizer chain.
 
-The rounds that depend only on ``(seed, stream)`` are computed once per
-stream and cached (:func:`_stream_hash`), so a draw pays only for mixing in
-its counter, as in counter-based generators (Salmon et al., "Parallel random
-numbers: as easy as 1, 2, 3", SC 2011).
+The rounds that depend only on ``(seed, stream)`` (:func:`_stream_hash`)
+are computed once per stream and kept with its window (below), so a draw
+pays only for mixing in its counter, as in counter-based generators (Salmon
+et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
 
 Windows.  Because a draw depends on nothing but its counter, draws can be
 computed ahead of use.  :func:`uniform` and :func:`normal_vec` read from a
@@ -29,17 +29,17 @@ primitives used give the same bits as the scalar definition :func:`_bits`
 ``ndtri``).  Windows are aligned to multiples of 64 and 2**64 is one, so no
 window straddles the counter wrap.
 
-The store holds one window per ``(seed, stream)``: moving to the next
-window replaces the stream's previous one, so a run that replays a stream
-from its start (the second regime on the same streams) recomputes its
-draws.  At most ``_WINDOW_STORE_SIZE`` streams are kept, about 3 kB each;
-the stream stored first is evicted, which only costs a refill.  A batch of
-more chains than that refills a window on every draw.
+The store holds one window per ``(seed, stream)``, with the stream's hash:
+moving to the next window replaces the stream's previous one and reuses the
+hash, so a run that replays a stream from its start (the second regime on
+the same streams) recomputes its draws.  At most ``_WINDOW_STORE_SIZE``
+streams are kept, about 3 kB each; the stream stored first is evicted, which
+only costs a refill and one hash.  A batch of more chains than that refills
+a window on every draw.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -56,16 +56,15 @@ _COUNTER_SALT = 0x165667B19E3779F9
 
 _INV_2_53 = 2.0 ** -53
 
-# (seed, stream) pairs whose hash is kept; a batch holds one stream per chain
-_STREAM_CACHE_SIZE = 4096
-
 _WINDOW = 64                        # draws per window; a power of two
 _WINDOW_BASE = _MASK64 ^ (_WINDOW - 1)  # counter & _WINDOW_BASE = window start
-_WINDOW_STORE_SIZE = _STREAM_CACHE_SIZE
+# streams whose window is kept; a batch holds one stream per chain
+_WINDOW_STORE_SIZE = 4096
 _SALTED_OFFSETS = np.arange(_WINDOW, dtype=np.uint64) + np.uint64(_COUNTER_SALT)
 
-# (seed, stream) -> (window start, uniforms as a list, normals as an array)
-_windows: dict[tuple[int, int], tuple[int, list[float], np.ndarray]] = {}
+# (seed, stream) -> (window start, uniforms as a list, normals as an array,
+# stream hash)
+_windows: dict[tuple[int, int], tuple[int, list[float], np.ndarray, int]] = {}
 
 
 class RngKey(NamedTuple):
@@ -104,13 +103,11 @@ def _mix64_np(x: np.ndarray) -> np.ndarray:
     return x
 
 
-@functools.lru_cache(maxsize=_STREAM_CACHE_SIZE)
 def _stream_hash(seed: int, stream: int) -> int:
     """The counter-independent half of :func:`_bits`.
 
     A chain draws from one ``(seed, stream)`` pair for its whole run, so the
-    result is cached; the cache is bounded and evicts least-recently used
-    pairs, which only costs a recomputation.
+    window store keeps the result with the stream's window.
     """
     return _mix64(_mix64(seed + _GOLDEN) ^ _mix64(stream + _STREAM_SALT))
 
@@ -124,23 +121,27 @@ def _bits(seed: int, stream: int, counter: int) -> int:
     return _mix64(_stream_hash(seed, stream) ^ _mix64(counter + _COUNTER_SALT))
 
 
-def _bits_np(seed: int, stream: int, salted: np.ndarray) -> np.ndarray:
+def _bits_np(stream_hash: int, salted: np.ndarray) -> np.ndarray:
     """:func:`_bits` over an array of counters already offset by ``_COUNTER_SALT``."""
-    return _mix64_np(np.uint64(_stream_hash(seed, stream)) ^ _mix64_np(salted))
+    return _mix64_np(np.uint64(stream_hash) ^ _mix64_np(salted))
 
 
-def _fill_window(seed: int, stream: int, base: int):
+def _fill_window(seed: int, stream: int, base: int, old):
     """Compute and store the window of draws at counters ``base .. base + 63``.
 
-    ``base`` is a multiple of 64.  Uniforms are ``bits53 * 2^-53`` and normals
+    ``base`` is a multiple of 64 and ``old`` the stream's stored window, or
+    None.  Uniforms are ``bits53 * 2^-53`` and normals
     ``ndtri((bits53 + 0.5) * 2^-53)``, each float step exact or rounded as
     the scalar definition rounds it.
     """
-    b53 = (_bits_np(seed, stream, _SALTED_OFFSETS + np.uint64(base))
-           >> _U11).astype(np.float64)
-    window = (base, (b53 * _INV_2_53).tolist(), ndtri((b53 + 0.5) * _INV_2_53))
-    if (seed, stream) not in _windows and len(_windows) >= _WINDOW_STORE_SIZE:
-        del _windows[next(iter(_windows))]
+    if old is None:
+        h = _stream_hash(seed, stream)
+        if len(_windows) >= _WINDOW_STORE_SIZE:
+            del _windows[next(iter(_windows))]
+    else:
+        h = old[3]
+    b53 = (_bits_np(h, _SALTED_OFFSETS + np.uint64(base)) >> _U11).astype(np.float64)
+    window = (base, (b53 * _INV_2_53).tolist(), ndtri((b53 + 0.5) * _INV_2_53), h)
     _windows[seed, stream] = window
     return window
 
@@ -166,7 +167,7 @@ def uniform(k: RngKey) -> tuple[float, RngKey]:
     base = counter & _WINDOW_BASE
     w = _windows.get((seed, stream))
     if w is None or w[0] != base:
-        w = _fill_window(seed, stream, base)
+        w = _fill_window(seed, stream, base, w)
     return w[1][counter - base], RngKey(seed, stream, (counter + 1) & _MASK64)
 
 
@@ -182,7 +183,7 @@ def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
     base = counter & _WINDOW_BASE
     w = _windows.get((seed, stream))
     if w is None or w[0] != base:
-        w = _fill_window(seed, stream, base)
+        w = _fill_window(seed, stream, base, w)
     i = counter - base
     if i + dim <= _WINDOW:
         z = w[2][i:i + dim].copy()  # the caller owns its vector, not a view
@@ -193,7 +194,8 @@ def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
         while done < dim:  # the following windows, each filled afresh
             base = (base + _WINDOW) & _MASK64
             take = min(_WINDOW, dim - done)
-            z[done:done + take] = _fill_window(seed, stream, base)[2][:take]
+            w = _fill_window(seed, stream, base, w)
+            z[done:done + take] = w[2][:take]
             done += take
     return z, RngKey(seed, stream, (counter + dim) & _MASK64)
 
@@ -209,5 +211,6 @@ def uniform_block(k: RngKey, count: int) -> tuple[np.ndarray, RngKey]:
         raise ValueError(f"count must be >= 1, got {count}")
     salted = np.arange(count, dtype=np.uint64) + np.uint64(k.counter) \
         + np.uint64(_COUNTER_SALT)
-    u = (_bits_np(k.seed, k.stream, salted) >> _U11).astype(np.float64) * _INV_2_53
+    h = _stream_hash(k.seed, k.stream)
+    u = (_bits_np(h, salted) >> _U11).astype(np.float64) * _INV_2_53
     return u, RngKey(k.seed, k.stream, (k.counter + count) & _MASK64)

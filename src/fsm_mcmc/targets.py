@@ -24,7 +24,6 @@ __all__ = [
     "gp_hyperparameter_target",
     "make_synthetic_gp_dataset",
     "save_gp_dataset_csv",
-    "load_gp_dataset_csv",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
@@ -294,8 +293,3 @@ def save_gp_dataset_csv(path, X: np.ndarray, y: np.ndarray) -> None:
     data = np.column_stack([X, y])
     header = ",".join([f"x{i}" for i in range(X.shape[1])] + ["y"])
     np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
-def load_gp_dataset_csv(path) -> tuple[np.ndarray, np.ndarray]:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    return data[:, :-1], data[:, -1]

@@ -1,4 +1,3 @@
-import math
 import warnings
 
 import numpy as np
@@ -14,7 +13,6 @@ from fsm_mcmc.analysis import (
     effective_sample_size,
     efficiency_model,
     efficiency_report,
-    hoeffding_rate,
     verify_prop_bound,
 )
 from fsm_mcmc.lockstep import CostParams
@@ -113,10 +111,6 @@ class TestConcentration:
             concentration_check([np.ones((100, 2))], (10, 20, 50, 100), params)
         with pytest.raises(ValueError):
             concentration_check([np.ones((100, 2))], (10, 100), params)
-
-    def test_rate_bound_halves_by_sqrt2_when_n_doubles(self):
-        assert hoeffding_rate(500, 0.05) / hoeffding_rate(1000, 0.05) \
-            == pytest.approx(math.sqrt(2.0))
 
 
 class TestEss:

@@ -96,13 +96,25 @@ class TestRunExperiment:
     def test_cost_model_from_json_file(self, tmp_path):
         spec_file = tmp_path / "costs.json"
         spec_file.write_text(json.dumps(
-            {"block_costs": [0.1, 2.0, 0.1], "alpha": 0.95, "loop_states": [2]}))
+            {"block_costs": [0.1, 2.0, 0.1], "alpha": 0.95}))
         config = RunConfig(kernel="drmh", cost_model=str(spec_file))
         from fsm_mcmc.kernels import drmh_kernel
         bundle = drmh_kernel(10, 0.5)
         params = resolve_cost_params(config, bundle, build_target(config))
         assert params.block_costs == (0.1, 2.0, 0.1)
         assert params.alpha == 0.95
+        assert params.loop_states == (2,)
+
+    def test_json_cost_model_keeps_the_machines_shared_sites(self, tmp_path):
+        spec_file = tmp_path / "costs.json"
+        spec_file.write_text(json.dumps(
+            {"block_costs": [0.02, 0.02, 0.01], "shared_cost": 1.0}))
+        config = RunConfig(kernel="elliptical", target="gp-synthetic", gp_n=20,
+                           cost_model=str(spec_file))
+        params = resolve_cost_params(config, elliptical_kernel(), build_target(config))
+        assert params.shared_sites == (1, 1, 0)
+        assert params.tick_cost("plain") == pytest.approx(2.05)
+        assert params.tick_cost("amortized") == pytest.approx(1.05)
 
     def test_gp_default_costs_scale_with_dataset(self):
         bundle = elliptical_kernel()
@@ -169,6 +181,25 @@ class TestMain:
         err = capsys.readouterr().err
         payload = json.loads(err.strip().splitlines()[-1])
         assert payload["errors"]
+
+    @pytest.mark.parametrize("spec", [
+        None,                                                   # no such file
+        {"block_costs": [0.05, 1.0]},                           # 2 costs, 3 states
+        {"block_costs": [0.05, 1.0, 0.05], "alfa": 0.9},        # misspelt key
+        {"block_costs": [0.05, 1.0, 0.05], "loop_states": [2]},  # topology key
+        {"block_costs": [0.05, None, 0.05]},                    # not a number
+        [0.05, 1.0, 0.05],                                      # not an object
+    ])
+    def test_exit_code_two_on_a_bad_cost_file(self, tmp_path, capsys, spec):
+        spec_file = tmp_path / "costs.json"
+        if spec is not None:
+            spec_file.write_text(json.dumps(spec))
+        out = tmp_path / "out"
+        rc = main(["--kernel", "drmh", "--cost-model", str(spec_file), "--out", str(out)])
+        assert rc == 2
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["errors"][0].startswith("cost model")
+        assert not out.exists()
 
     def test_config_file_round_trip(self, tmp_path):
         cfg = tmp_path / "exp.cfg"

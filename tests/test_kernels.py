@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -137,10 +138,10 @@ class TestDrmh:
         for seed in (0, 1, 2):
             s_c, led_c = run_fsm_batched(
                 condensed, t, init_batch(condensed, t, 4, seed), 100,
-                step_variant="bundled", tick_chunk=1, record_sample_ticks=True)
+                step_variant="bundled")
             s_s, led_s = run_fsm_batched(
                 split, t, init_batch(split, t, 4, seed), 100,
-                step_variant="bundled", tick_chunk=1, record_sample_ticks=True)
+                step_variant="bundled")
             assert np.array_equal(s_c, s_s)
             assert led_c.tick_count == led_s.tick_count
             assert np.array_equal(led_c.sample_ticks, led_s.sample_ticks)
@@ -305,6 +306,18 @@ class TestElliptical:
         with pytest.raises(KernelError, match="Gaussian-prior"):
             elliptical_kernel().check_target(standard_normal_target(1))
         elliptical_kernel().check_target(conjugate_pair()[0])
+
+    @pytest.mark.parametrize("chol", [
+        [[1.0, 0.5], [0.0, 1.0]],   # upper-triangular
+        [[1.0, 0.0], [0.5, -1.0]],  # negative diagonal
+        [[1.0]],                    # wrong shape
+    ])
+    def test_check_target_rejects_a_bad_prior_factor(self, chol):
+        target = conjugate_pair()[0]
+        bad = dataclasses.replace(target, gaussian_prior=dataclasses.replace(
+            target.gaussian_prior, chol=np.array(chol)))
+        with pytest.raises(KernelError, match="lower-triangular"):
+            elliptical_kernel().check_target(bad)
 
     def test_posterior_matches_conjugate_closed_form(self):
         target, post_mu, post_cov = conjugate_pair()

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fsm_mcmc import analysis, prng
+from fsm_mcmc import analysis, lockstep, prng
 from fsm_mcmc.fsm import (
     FsmError,
     Locals,
@@ -20,6 +20,7 @@ from fsm_mcmc.kernels.base import KernelBundle
 from fsm_mcmc.lockstep import (
     ChainBatch,
     CostParams,
+    TICK_CHUNK,
     KernelRunError,
     TickBudgetExceeded,
     init_batch,
@@ -45,13 +46,11 @@ class ScriptedLocals(Locals):
 
 def scripted_kernel():
     def _init(z):
-        z.n_inner = 0
         z.remaining = z.schedule[z.pos % len(z.schedule)]
         z.pos += 1
         return z
 
     def _body(z):
-        z.n_inner += 1
         z.remaining -= 1
         return z
 
@@ -117,26 +116,22 @@ class TestCostParams:
 class TestScriptedLedger:
     def test_hand_evaluated_barrier_cost(self):
         # N matrix [[3, 1], [1, 3]] with zero constant-block cost and unit
-        # loop cost: barriered total is 3 + 3 = 6; the desynchronized ideal
-        # is max(4, 4) = 4
+        # loop cost: barriered total is 3 + 3 = 6
         schedules = ([3, 1], [1, 3])
         bundle = scripted_kernel()
         params = CostParams(block_costs=(0.0, 1.0, 0.0), alpha=1.0, loop_states=(2,))
         batch = scripted_batch(schedules)
-        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 2,
-                                    cost_params=params, tick_chunk=1)
+        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 2, cost_params=params)
         N = ledger.iter_counts
         assert np.array_equal(N, np.array([[3, 1], [1, 3]]))
         assert analysis.barrier_cost(N) == 6.0
-        assert analysis.desync_cost(N) == 4.0
 
     def test_ticks_to_nth_sample_identity(self):
         # single-loop machine: chain j needs sum_i (2 + N_ij) ticks
         schedules = ([3, 1, 2], [1, 3, 1])
         bundle = scripted_kernel()
         batch = scripted_batch(schedules)
-        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 3,
-                                    tick_chunk=1, record_sample_ticks=True)
+        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 3)
         for j, sched in enumerate(schedules):
             expect = np.cumsum([2 + n for n in sched])
             assert np.array_equal(ledger.sample_ticks[:, j], expect)
@@ -145,9 +140,11 @@ class TestScriptedLedger:
         schedules = ([5], [1])
         bundle = scripted_kernel()
         batch = scripted_batch(schedules)
-        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 1, tick_chunk=1)
-        # global loop stops once the slowest chain finishes: 2 + 5 ticks
-        assert ledger.tick_count == 7
+        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 1)
+        # the slowest chain finishes at tick 2 + 5, and the loop stops at the
+        # end of that tick's chunk
+        assert ledger.sample_ticks.tolist() == [[7, 3]]
+        assert ledger.tick_count == TICK_CHUNK
 
 
 class TestStandardDriver:
@@ -159,6 +156,14 @@ class TestStandardDriver:
         _, ledger = run_standard_batched(bundle, t, batch, 40, cost_params=params)
         expect = (2.0 * 40 + ledger.iter_counts[:, 0].sum())
         assert ledger.charged_cost == pytest.approx(expect)
+
+    def test_cost_params_naming_other_loop_states_are_rejected(self):
+        bundle = drmh_kernel(10, 0.5, split_body=True)  # loop states 2..5
+        t = standard_normal_target(1)
+        params = CostParams(block_costs=(1.0,) * 6, loop_states=(2,))
+        with pytest.raises(ValueError, match="loop states"):
+            run_standard_batched(bundle, t, init_batch(bundle, t, 2, 0), 5,
+                                 cost_params=params)
 
     def test_charged_cost_nondecreasing_in_m(self):
         # stream splitting is prefix-stable, so a bigger batch contains the
@@ -201,10 +206,11 @@ class TestFsmDriver:
         t = standard_normal_target(1)
         for seed in range(10):
             _, plain = run_fsm_batched(bundle, t, init_batch(bundle, t, 4, seed),
-                                       80, step_variant="plain", tick_chunk=1)
+                                       80, step_variant="plain")
             _, bund = run_fsm_batched(bundle, t, init_batch(bundle, t, 4, seed),
-                                      80, step_variant="bundled", tick_chunk=1)
-            assert bund.tick_count <= plain.tick_count
+                                      80, step_variant="bundled")
+            # the tick of the last sample is the tick count of an unchunked loop
+            assert bund.sample_ticks.max() <= plain.sample_ticks.max()
 
     def test_tick_budget_overrun_carries_partial_ledger(self):
         bundle = drmh_kernel(10, 0.5)
@@ -214,6 +220,23 @@ class TestFsmDriver:
             run_fsm_batched(bundle, t, batch, 10_000, tick_budget=50)
         assert info.value.ledger.tick_count <= 50
         assert len(info.value.sample_counts) == 2
+
+    def test_tick_budget_ledger_holds_the_rows_every_chain_finished(self):
+        bundle = drmh_kernel(10, 0.5)
+        t = standard_normal_target(1)
+        n, budget = 100, 2 * TICK_CHUNK + 50
+        with pytest.raises(TickBudgetExceeded) as info:
+            run_fsm_batched(bundle, t, init_batch(bundle, t, 3, 7), n, tick_budget=budget)
+        partial = info.value.ledger
+        rows = min(info.value.sample_counts)
+        assert partial.tick_count == 2 * TICK_CHUNK
+        assert 0 < rows < n
+        _, full = run_fsm_batched(bundle, t, init_batch(bundle, t, 3, 7), n)
+        assert np.array_equal(partial.iter_counts, full.iter_counts[:rows])
+        assert np.array_equal(partial.sample_ticks, full.sample_ticks[:rows])
+        assert partial.loop_exec_counts.keys() == full.loop_exec_counts.keys()
+        for s, counts in full.loop_exec_counts.items():
+            assert np.array_equal(partial.loop_exec_counts[s], counts[:rows])
 
     def test_reusing_a_batch_is_rejected(self):
         bundle = drmh_kernel(5, 0.5)
@@ -247,10 +270,20 @@ class TestFsmDriver:
     def test_measured_costs_are_admissible(self):
         bundle = drmh_kernel(10, 0.5)
         t = standard_normal_target(1)
-        params = measure_block_costs(bundle, t, m=4, seed=0, ticks=50)
+        params = measure_block_costs(bundle, t, seed=0)
         assert len(params.block_costs) == 3
         assert sum(params.block_costs) > 0
         assert params.alpha == 1.0
+
+    def test_measured_costs_are_timed_seconds_per_execution(self, monkeypatch):
+        # a clock that advances one second per reading times every block
+        # execution and every shared evaluation at exactly one second
+        readings = itertools.count()
+        monkeypatch.setattr(lockstep.time, "perf_counter", lambda: float(next(readings)))
+        params = measure_block_costs(elliptical_kernel(), conjugate_target(), seed=0)
+        assert params.block_costs == (1.0, 1.0, 1.0)
+        assert params.shared_cost == 1.0
+        assert params.shared_sites == (1, 1, 0)
 
 
 PARITY_CASES = {
@@ -267,8 +300,7 @@ def _paired_runs(kernel, variant, m=6, n=30, seed=5):
     barrier_batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
     ref, barrier = run_standard_batched(bundle, target, barrier_batch, n)
     fsm_batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
-    got, machine = run_fsm_batched(bundle, target, fsm_batch, n, step_variant=variant,
-                                   record_sample_ticks=True)
+    got, machine = run_fsm_batched(bundle, target, fsm_batch, n, step_variant=variant)
     assert np.array_equal(ref, got)
     assert barrier_batch.sample_counts == [n] * m
     assert fsm_batch.sample_counts == [n] * m
@@ -431,8 +463,7 @@ class TestInlinedTick:
             bundle = _counting_shared(base, calls)
             batch = init_batch(bundle, target, m, seed, init_jitter=1.0)
             got, ledger = run_fsm_batched(bundle, target, batch, n, step_variant=variant,
-                                          bundled_order=order, record_sample_ticks=True,
-                                          tick_chunk=3)
+                                          bundled_order=order)
             samples, states, executed, sample_ticks, rngs = ref
             assert np.array_equal(got, samples), (variant, order)
             assert batch.state_ids == states, (variant, order)

@@ -10,7 +10,6 @@ from fsm_mcmc.targets import (
     equicorrelated_covariance,
     gaussian_target,
     gp_hyperparameter_target,
-    load_gp_dataset_csv,
     make_synthetic_gp_dataset,
     save_gp_dataset_csv,
     standard_normal_target,
@@ -159,8 +158,8 @@ class TestGpHyperparameters:
         X, y = make_synthetic_gp_dataset(n=12, p=3)
         path = tmp_path / "gp.csv"
         save_gp_dataset_csv(path, X, y)
-        X2, y2 = load_gp_dataset_csv(path)
-        assert np.allclose(X, X2) and np.allclose(y, y2)
+        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.allclose(X, data[:, :-1]) and np.allclose(y, data[:, -1])
         t25 = gp_hyperparameter_target(*make_synthetic_gp_dataset(n=25))
         t50 = gp_hyperparameter_target(*make_synthetic_gp_dataset(n=50))
         assert t50.log_density_cost == pytest.approx(8.0 * t25.log_density_cost)
