@@ -18,6 +18,15 @@ leaf offsets are checkpointed (slot = popcount(i >> 1)), and each odd leaf i
 is tested against the checkpoints spanning every balanced subtree that ends
 at i.  A subtree that turns or diverges is discarded and the trajectory
 stops; after a clean merge the whole trajectory's endpoints are tested.
+
+The current point's log-density and gradient are carried across samples.
+A leaf that becomes the subtree proposal keeps its ``(lp, grad)`` next to it,
+CHECK hands them on with the trajectory proposal, and DONE stores them with
+the new sample, so INIT evaluates the target only on a chain's first sample.
+The carried values are those INIT would compute: the same function on an
+equal array.  No block mutates an array in place (targets return fresh
+gradients), so the locals, the checkpoints and the carried gradient can all
+hold references to the same leaf arrays.
 """
 
 from __future__ import annotations
@@ -62,12 +71,12 @@ def _ckpt_check_range(leaf: int) -> tuple[int, int]:
 
 
 class NutsLocals(Locals):
-    __slots__ = ("target", "lp_grad", "h0",
+    __slots__ = ("target", "lp_grad", "lp_x", "g_x", "h0",
                  "xl", "pl", "gl", "xr", "pr", "gr",
                  "cx", "cp", "cg",
-                 "xprop", "log_sum_w", "depth", "stopped", "diverged",
-                 "direction", "steps_todo", "steps_done",
-                 "sub_log_sum_w", "sub_xprop", "sub_stop",
+                 "xprop", "lp_prop", "g_prop", "log_sum_w", "depth", "stopped",
+                 "diverged", "direction", "steps_todo", "steps_done",
+                 "sub_log_sum_w", "sub_xprop", "sub_lp", "sub_g", "sub_stop",
                  "ck_x", "ck_p")
 
     def __init__(self, x, rng, target, max_depth):
@@ -78,11 +87,16 @@ class NutsLocals(Locals):
             lp, grad = target.log_density, target.gradient
             self.lp_grad = lambda pos: (lp(pos), grad(pos))
         d = x.shape[0]
+        # (lp, grad) at x; None until the first INIT evaluates the target
+        self.lp_x = 0.0
+        self.g_x = None
         self.h0 = 0.0
         self.xl = self.xr = self.cx = x
         self.pl = self.pr = self.cp = np.zeros(d)
         self.gl = self.gr = self.cg = np.zeros(d)
         self.xprop = x
+        self.lp_prop = 0.0
+        self.g_prop = None
         self.log_sum_w = 0.0
         self.depth = 0
         self.stopped = False
@@ -92,9 +106,12 @@ class NutsLocals(Locals):
         self.steps_done = 0
         self.sub_log_sum_w = _NEG_INF
         self.sub_xprop = x
+        self.sub_lp = 0.0
+        self.sub_g = None
         self.sub_stop = False
-        self.ck_x = np.zeros((max_depth, d))
-        self.ck_p = np.zeros((max_depth, d))
+        # checkpoint slots hold references to leaf arrays, never copies
+        self.ck_x = [None] * max_depth
+        self.ck_p = [None] * max_depth
 
 
 def nuts_kernel(step_size: float, max_depth: int = 10,
@@ -111,17 +128,21 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
     def _init(z: NutsLocals) -> NutsLocals:
         d = z.x.shape[0]
         p0, z.rng = normal_vec(z.rng, d)
-        lp, grad = z.lp_grad(z.x)
-        check_log_density(lp, "INIT")
-        if lp == _NEG_INF:
-            raise KernelError("starting point has zero density")
-        if not np.all(np.isfinite(grad)):
-            raise KernelError(f"non-finite gradient at the current point: {grad}")
+        if z.g_x is None:  # the chain's first sample
+            lp, grad = z.lp_grad(z.x)
+            check_log_density(lp, "INIT")
+            if lp == _NEG_INF:
+                raise KernelError("starting point has zero density")
+            if not np.all(np.isfinite(grad)):
+                raise KernelError(f"non-finite gradient at the current point: {grad}")
+            z.lp_x, z.g_x = lp, grad
+        lp, grad = z.lp_x, z.g_x
         z.h0 = -lp + 0.5 * float(p0 @ p0)
         z.xl = z.xr = z.x
         z.pl = z.pr = p0
         z.gl = z.gr = grad
         z.xprop = z.x
+        z.lp_prop, z.g_prop = lp, grad
         z.log_sum_w = 0.0
         z.depth = 0
         z.stopped = False
@@ -150,11 +171,15 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         x_new = z.cx + eff * p_half
         lp_new, g_new = z.lp_grad(x_new)
         check_log_density(lp_new, "INTEGRATE")
-        if not np.all(np.isfinite(g_new)):
-            raise KernelError(f"non-finite gradient during integration at {x_new}")
         p_new = p_half + 0.5 * eff * g_new
+        kin = float(p_new @ p_new)
+        # a NaN or inf in g_new always makes kin non-finite, so the gradient
+        # is scanned only then; a finite gradient whose momentum overflows
+        # diverges below instead.
+        if not math.isfinite(kin) and not np.all(np.isfinite(g_new)):
+            raise KernelError(f"non-finite gradient during integration at {x_new}")
         z.cx, z.cp, z.cg = x_new, p_new, g_new
-        delta = (-lp_new + 0.5 * float(p_new @ p_new)) - z.h0
+        delta = (-lp_new + 0.5 * kin) - z.h0
         leaf = z.steps_done
         if not math.isfinite(delta) or delta > divergence_threshold:
             z.diverged = True
@@ -163,7 +188,7 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
             new_lsw = _logaddexp(z.sub_log_sum_w, log_w)
             u, z.rng = uniform(z.rng)
             if u < math.exp(log_w - new_lsw):
-                z.sub_xprop = x_new
+                z.sub_xprop, z.sub_lp, z.sub_g = x_new, lp_new, g_new
             z.sub_log_sum_w = new_lsw
             if leaf % 2 == 0:
                 slot = _ckpt_write_slot(leaf)
@@ -192,7 +217,7 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         total = _logaddexp(z.log_sum_w, z.sub_log_sum_w)
         u, z.rng = uniform(z.rng)
         if u < math.exp(z.sub_log_sum_w - total):
-            z.xprop = z.sub_xprop
+            z.xprop, z.lp_prop, z.g_prop = z.sub_xprop, z.sub_lp, z.sub_g
         z.log_sum_w = total
         if z.direction == 1:
             z.xr, z.pr, z.gr = z.cx, z.cp, z.cg
@@ -206,6 +231,7 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
 
     def _done(z: NutsLocals) -> NutsLocals:
         z.x = z.xprop.copy()
+        z.lp_x, z.g_x = z.lp_prop, z.g_prop
         return z
 
     inner = compose_single_loop(

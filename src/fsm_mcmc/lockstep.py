@@ -60,13 +60,19 @@ TICK_CHUNK = 100  # executor calls between driver-loop condition checks
 
 
 class KernelRunError(RuntimeError):
-    """A kernel failed mid-run; records which chain and where."""
+    """A kernel failed mid-run; records which chain and where.
 
-    def __init__(self, chain: int, iteration: int, cause: Exception):
+    ``ledger`` holds the rows every chain had finished, as the ledger of
+    :class:`TickBudgetExceeded` does.
+    """
+
+    def __init__(self, chain: int, iteration: int, cause: Exception,
+                 ledger: "CostLedger | None" = None):
         super().__init__(f"chain {chain}, sample index {iteration}: {cause}")
         self.chain = chain
         self.iteration = iteration
         self.cause = cause
+        self.ledger = ledger
 
 
 class TickBudgetExceeded(RuntimeError):
@@ -255,7 +261,9 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
     the record the state-machine driver steps.
 
     The barrier charge for iteration i is
-    ``sum_{non-loop} c_b + sum_{loop} c_b * max_j execs_b(i, j)``.
+    ``sum_{non-loop} c_b + sum_{loop} c_b * max_j execs_b(i, j)``.  When a
+    kernel fails at iteration i, the :class:`KernelRunError` ledger holds the
+    first i rows.
     """
     _validate_run_args(batch, n)
     bundle.check_target(target)
@@ -284,7 +292,10 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
             try:
                 execs = bundle.monolithic(z)
             except Exception as exc:  # noqa: BLE001 - re-raise with chain context
-                raise KernelRunError(chain=j, iteration=i, cause=exc) from exc
+                ledger = _standard_ledger(bundle, i, m, loop_execs, charged,
+                                          time.perf_counter() - t0)
+                raise KernelRunError(chain=j, iteration=i, cause=exc,
+                                     ledger=ledger) from exc
             samples[i, j] = z.x
             for s, cnt in execs.items():
                 loop_execs[s][i, j] = cnt
@@ -293,20 +304,27 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
         for s in loop_states:
             it_cost += full[s - 1] * float(loop_execs[s][i].max())
         charged += it_cost
-    walltime = time.perf_counter() - t0
+    ledger = _standard_ledger(bundle, n, m, loop_execs, charged,
+                              time.perf_counter() - t0)
+    return samples, ledger
+
+
+def _standard_ledger(bundle, rows: int, m: int, loop_execs: dict[int, np.ndarray],
+                     charged: float, walltime: float) -> CostLedger:
+    """The barrier's ledger of its first ``rows`` iterations."""
+    loop_execs = {s: a[:rows] for s, a in loop_execs.items()}
     # a non-loop block runs once per sample
-    block_totals = [loop_execs[s].sum() if s in loop_execs else n * m
-                    for s in range(1, K + 1)]
-    ledger = CostLedger(
+    block_totals = [loop_execs[s].sum() if s in loop_execs else rows * m
+                    for s in range(1, bundle.fsm.n_states + 1)]
+    return CostLedger(
         iter_counts=sum(loop_execs[s] for s in bundle.iter_states),
         loop_exec_counts=loop_execs,
-        tick_count=n,
+        tick_count=rows,
         block_exec_counts=np.array(block_totals, dtype=np.int64),
         charged_cost=charged,
         walltime=walltime,
         regime="standard",
     )
-    return samples, ledger
 
 
 def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
@@ -326,9 +344,9 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
 
     A finished sample, its loop-state counts and its tick are written at row
     ``sample_counts[j]`` of preallocated (n, m) arrays, as the barrier writes
-    its rows.  When ``tick_budget`` would be overrun, the
-    :class:`TickBudgetExceeded` ledger holds the first ``min(sample_counts)``
-    rows.
+    its rows.  When ``tick_budget`` would be overrun, or a kernel fails, the
+    ledger of the :class:`TickBudgetExceeded` or :class:`KernelRunError`
+    holds the first ``min(sample_counts)`` rows.
     """
     _validate_run_args(batch, n)
     bundle.check_target(target)
@@ -414,7 +432,11 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                             break
                         s = k
                 except Exception as exc:  # noqa: BLE001
-                    raise KernelRunError(chain=j, iteration=counts[j], cause=exc) from exc
+                    ledger = _fsm_ledger(bundle, params, step_variant, min(counts),
+                                         loop_execs, sample_ticks, ticks, executed,
+                                         native_shared, time.perf_counter() - t0)
+                    raise KernelRunError(chain=j, iteration=counts[j], cause=exc,
+                                         ledger=ledger) from exc
                 states[j] = k
                 locs[j] = z
             if retired:

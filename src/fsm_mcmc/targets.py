@@ -48,6 +48,11 @@ class TargetModel:
     ``log_density_cost`` is the relative model cost of one evaluation (1.0
     for the cheap analytic targets); cost parameters derived from a target
     use it to price shared log-density work.
+
+    ``gradient`` and ``log_density_and_grad`` return a fresh array on every
+    call, and nothing mutates it afterwards: NUTS keeps references to the
+    gradients of its trajectory's points, the current point's among them,
+    across samples.
     """
 
     name: str

@@ -1,7 +1,10 @@
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fsm_mcmc import fsm
 from fsm_mcmc.fsm import (
@@ -364,6 +367,165 @@ def test_machine_trace_equals_monolithic_trace_on_random_programs():
         z_fsm = CounterLocals(body_budget=body_budget, outer_budget=outer_budget)
         drive(machine, z_fsm, n_samples=1)
         assert z_fsm.trace == z_mono.trace, (trial, outer_budget, body_budget)
+
+
+class ScriptLocals(Locals):
+    """Locals of a fuzzed program: each block appends its label to ``trace``
+    and every loop reads its trip count from ``script`` (zeros once it runs
+    out, for the blocks a bundled call runs past the last sample)."""
+
+    __slots__ = ("trace", "script", "left", "outer_left")
+
+    def __init__(self, script):
+        super().__init__(x=np.zeros(1), rng=None)
+        self.trace = []
+        self.script = itertools.chain(script, itertools.repeat(0))
+        self.left = 0
+        self.outer_left = 0
+
+
+def _block(label, action=None):
+    def block(z):
+        z.trace.append(label)
+        if action is not None:
+            action(z)
+        return z
+    return block
+
+
+def _read_trips(z):
+    z.left = next(z.script)
+
+
+def _count_down(z):
+    z.left -= 1
+
+
+def _read_outer_trips(z):
+    z.outer_left = next(z.script)
+
+
+def _start_inner(z):
+    z.outer_left -= 1
+    z.left = next(z.script)
+
+
+def _inner_continues(z):
+    return z.left > 0
+
+
+def _outer_continues(z):
+    return z.outer_left > 0
+
+
+_TRIPS = st.integers(min_value=0, max_value=5)
+
+
+def _single_loop_program():
+    pre, body, post = _block("PRE", _read_trips), _block("BODY", _count_down), _block("POST")
+
+    def program(z):
+        pre(z)
+        while _inner_continues(z):
+            body(z)
+        post(z)
+
+    machine = compose_single_loop(pre, body, post, _inner_continues,
+                                  labels=("PRE", "BODY", "POST"))
+    return machine, program, st.tuples(_TRIPS).map(list)
+
+
+def _sequential_program():
+    pre, expand = _block("PRE", _read_trips), _block("EXPAND", _count_down)
+    mid, shrink, post = (_block("MID", _read_trips), _block("SHRINK", _count_down),
+                         _block("POST"))
+
+    def program(z):
+        pre(z)
+        while _inner_continues(z):
+            expand(z)
+        mid(z)
+        while _inner_continues(z):
+            shrink(z)
+        post(z)
+
+    machine = compose_sequential(
+        compose_single_loop(pre, expand, mid, _inner_continues,
+                            labels=("PRE", "EXPAND", "MID")),
+        compose_single_loop(empty_block, shrink, post, _inner_continues,
+                            labels=("", "SHRINK", "POST")))
+    return machine, program, st.tuples(_TRIPS, _TRIPS).map(list)
+
+
+def _nested_program():
+    pre, post = _block("PRE", _read_outer_trips), _block("POST")
+    ipre, ibody, ipost = (_block("IPRE", _start_inner), _block("IBODY", _count_down),
+                          _block("IPOST"))
+
+    def program(z):
+        pre(z)
+        while _outer_continues(z):
+            ipre(z)
+            while _inner_continues(z):
+                ibody(z)
+            ipost(z)
+        post(z)
+
+    inner = compose_single_loop(ipre, ibody, ipost, _inner_continues,
+                                labels=("IPRE", "IBODY", "IPOST"))
+    machine = compose_nested(pre, inner, post, _outer_continues, labels=("PRE", "POST"))
+    # one outer trip count, then one inner trip count per outer iteration
+    sample = st.lists(_TRIPS, max_size=4).map(lambda inner: [len(inner), *inner])
+    return machine, program, sample
+
+
+_PROGRAMS = {"single": _single_loop_program, "sequential": _sequential_program,
+             "nested": _nested_program}
+
+
+def _executors(machine):
+    """fsm.step (as None) and every bundled order that keeps all samples."""
+    orders = [None]
+    for order in itertools.permutations(range(1, machine.n_states + 1)):
+        try:
+            validate_bundled_order(machine, order)
+        except FsmError:
+            continue
+        orders.append(order)
+    return orders
+
+
+@pytest.mark.parametrize("shape", sorted(_PROGRAMS))
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_compositions_run_their_while_loop_programs(shape, data):
+    # per-sample trip counts drawn at random: the machine, stepped by
+    # fsm.step or fsm.bundled_step, runs the program's blocks in the
+    # program's order and flags each sample at the program's DONE block
+    machine, program, one_sample = _PROGRAMS[shape]()
+    samples = data.draw(st.lists(one_sample, min_size=1, max_size=5), label="samples")
+    script = [trips for sample in samples for trips in sample]
+    ref = ScriptLocals(script)
+    ends = []
+    for _ in samples:
+        program(ref)
+        ends.append(len(ref.trace))
+
+    order = data.draw(st.sampled_from(_executors(machine)), label="order")
+    z = ScriptLocals(script)
+    k, got_ends = 1, []
+    for _ in range(ends[-1]):  # every call runs at least one block
+        if len(got_ends) == len(samples):
+            break
+        start = len(z.trace)
+        out = step(machine, k, z) if order is None else bundled_step(machine, k, z, order)
+        assert z.trace[start:] == [machine.labels[s - 1] for s in out.executed]
+        assert out.is_sample == (out.executed[0] == machine.final)
+        if out.is_sample:
+            got_ends.append(start + 1)
+        k = out.state
+    assert got_ends == ends
+    assert z.trace[:ends[-1]] == ref.trace
 
 
 def test_topology_export_json_and_graphviz():

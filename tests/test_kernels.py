@@ -1,15 +1,22 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from fsm_mcmc import prng
+from fsm_mcmc.cli import RunConfig, build_kernel, build_target
 from fsm_mcmc.fsm import step
 from fsm_mcmc.kernels import drmh_kernel, elliptical_kernel, nuts_kernel, slice_kernel
 from fsm_mcmc.kernels.base import KernelError
 from fsm_mcmc.kernels.nuts import _ckpt_check_range, _ckpt_write_slot
-from fsm_mcmc.lockstep import init_batch, run_fsm_batched, run_standard_batched
+from fsm_mcmc.lockstep import (
+    KernelRunError,
+    init_batch,
+    run_fsm_batched,
+    run_standard_batched,
+)
 from fsm_mcmc.targets import (
     GaussianPriorDecomposition,
     TargetModel,
@@ -397,6 +404,106 @@ class TestNuts:
         with pytest.raises(KernelRunError) as info:
             run_standard_batched(bundle, t, init_batch(bundle, t, 2, 0), 5)
         assert info.value.chain == 0 and info.value.iteration == 0
+
+    @pytest.mark.parametrize("variant", ["barrier", "plain", "bundled", "amortized"])
+    def test_one_target_call_per_chain_plus_one_per_leapfrog_step(self, variant):
+        # INIT evaluates the target only on a chain's first sample; later
+        # samples start from the value and gradient carried from their leaf
+        base = standard_normal_target(2)
+        calls = [0]
+
+        def counted(x):
+            calls[0] += 1
+            return base.log_density_and_grad(x)
+
+        t = dataclasses.replace(base, log_density_and_grad=counted)
+        bundle = nuts_kernel(0.4, max_depth=6)
+        m = 3
+        batch = init_batch(bundle, t, m, 19, init_jitter=1.0)
+        if variant == "barrier":
+            _, ledger = run_standard_batched(bundle, t, batch, 50)
+        else:
+            _, ledger = run_fsm_batched(bundle, t, batch, 50, step_variant=variant)
+        integrate = int(ledger.block_exec_counts[2])
+        assert integrate >= 50 * m
+        assert calls[0] == m + integrate
+
+    @pytest.mark.parametrize("seed, digest", [
+        (0, "02dcba3d1f1d512955d4b59497da7124dcc88a7b3e62a744c0c9b19b0e7d4a07"),
+        (1, "30adf5469db41b892b5949819ceda2b30237298fbf80da12e6d5cde33ce0cb28"),
+    ])
+    def test_samples_equal_the_recorded_digest(self, seed, digest):
+        # the benchmark's nuts-narrow configuration at n=100; the digests pin
+        # the samples of the kernel that re-evaluated the target at INIT
+        cfg = RunConfig(kernel="nuts", target="gaussian-corr", dim=2, target_rho=0.99,
+                        nuts_step_size=0.16, nuts_max_depth=8, chains=4, samples=100,
+                        init_jitter=1.0)
+        bundle, t = build_kernel(cfg), build_target(cfg)
+        for run in (run_standard_batched, run_fsm_batched):
+            batch = init_batch(bundle, t, cfg.chains, seed, init_jitter=cfg.init_jitter)
+            samples, _ = run(bundle, t, batch, cfg.samples)
+            assert samples.shape == (100, 4, 2)
+            assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("regime", [run_standard_batched, run_fsm_batched])
+    @pytest.mark.parametrize("lp, grad, message", [
+        (math.nan, 0.0, "[INIT] log-density evaluated to nan"),
+        (-math.inf, 0.0, "starting point has zero density"),
+        (0.0, math.inf, "non-finite gradient at the current point"),
+    ])
+    def test_first_sample_checks_the_starting_point(self, regime, lp, grad, message):
+        # the target is first evaluated in the first INIT, so a bad starting
+        # point fails there, naming the chain and its first sample
+        t = TargetModel(name="bad-start", dim=1, log_density=lambda x: lp,
+                        log_density_and_grad=lambda x: (lp, np.full(1, grad)))
+        bundle = nuts_kernel(0.5)
+        batch = init_batch(bundle, t, 2, 0)
+        with pytest.raises(KernelRunError) as info:
+            regime(bundle, t, batch, 5)
+        assert (info.value.chain, info.value.iteration) == (0, 0)
+        assert message in str(info.value)
+
+    @staticmethod
+    def _gradient_turns(value):
+        """N(0, I) in 2-d whose gradient is ``value`` wherever x[0] >= 1."""
+        base = standard_normal_target(2)
+
+        def lp_grad(x):
+            lp, g = base.log_density_and_grad(x)
+            return lp, (np.full(2, value) if x[0] >= 1.0 else g)
+
+        return dataclasses.replace(base, log_density_and_grad=lp_grad)
+
+    @pytest.mark.parametrize("regime", [run_standard_batched, run_fsm_batched])
+    def test_nan_gradient_mid_trajectory_names_the_chain(self, regime):
+        t = self._gradient_turns(math.nan)
+        bundle = nuts_kernel(0.5, max_depth=6)
+        with pytest.raises(KernelRunError) as info:
+            regime(bundle, t, init_batch(bundle, t, 3, 2), 200)
+        err = info.value
+        assert err.chain in range(3)
+        assert str(err).startswith(f"chain {err.chain}, sample index {err.iteration}:")
+        assert "non-finite gradient during integration" in str(err)
+        assert isinstance(err.cause, KernelError)
+
+    def test_finite_gradient_with_overflowing_momentum_diverges(self):
+        # p @ p overflows, so the leaf diverges and its subtree is discarded;
+        # the gradient itself is finite, so nothing raises
+        t = self._gradient_turns(1e300)
+        bundle = nuts_kernel(0.5, max_depth=6)
+        m, n = 3, 200
+        with np.errstate(over="ignore"):
+            ref, _ = run_standard_batched(bundle, t, init_batch(bundle, t, m, 2), n)
+            got, _ = run_fsm_batched(bundle, t, init_batch(bundle, t, m, 2), n)
+            chains = init_batch(bundle, t, m, 2).locals
+            diverged = 0
+            for _ in range(n):
+                for z in chains:
+                    bundle.monolithic(z)
+                    diverged += z.diverged
+        assert np.array_equal(ref, got)
+        assert np.all(ref[..., 0] < 1.0)
+        assert diverged > 0
 
     def test_gradient_only_target_composes_value_and_grad(self):
         base = standard_normal_target(2)

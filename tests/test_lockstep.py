@@ -200,6 +200,61 @@ class TestStandardDriver:
         assert "log-density" in str(info.value)
 
 
+def _turns_infinite_after(target, calls_left):
+    """``target`` whose log-density returns +inf once it has made
+    ``calls_left`` calls."""
+    left = [calls_left]
+
+    def log_density(x):
+        left[0] -= 1
+        return math.inf if left[0] < 0 else target.log_density(x)
+
+    return dataclasses.replace(target, log_density=log_density)
+
+
+class TestKernelFailureLedger:
+    """A failed run keeps the ledger of the rows every chain finished."""
+
+    @pytest.mark.parametrize("variant", ["barrier", "plain", "bundled"])
+    def test_ledger_is_the_prefix_of_a_run_that_does_not_fail(self, variant):
+        bundle, base = drmh_kernel(10, 1.5), standard_normal_target(1)
+        m, n, seed = 3, 60, 4
+
+        def run(target, batch, samples):
+            if variant == "barrier":
+                return run_standard_batched(bundle, target, batch, samples)[1]
+            return run_fsm_batched(bundle, target, batch, samples,
+                                   step_variant=variant)[1]
+
+        def fresh(target):
+            return init_batch(bundle, target, m, seed, init_jitter=1.0)
+
+        full = run(base, fresh(base), n)
+        failing = _turns_infinite_after(base, 300)
+        batch = fresh(failing)
+        with pytest.raises(KernelRunError) as info:
+            run(failing, batch, n)
+        err = info.value
+        assert "log-density evaluated to inf" in str(err)
+        assert err.iteration == batch.sample_counts[err.chain]
+        partial = err.ledger
+        rows = partial.iter_counts.shape[0]
+        assert rows == min(batch.sample_counts)
+        assert 0 < rows < n
+        if variant == "barrier":
+            # the first rows iterations, charged as a run of rows samples
+            short = run(base, fresh(base), rows)
+            assert partial.tick_count == rows
+            assert partial.charged_cost == short.charged_cost
+            assert np.array_equal(partial.block_exec_counts, short.block_exec_counts)
+        else:
+            assert np.array_equal(partial.sample_ticks, full.sample_ticks[:rows])
+        assert np.array_equal(partial.iter_counts, full.iter_counts[:rows])
+        assert partial.loop_exec_counts.keys() == full.loop_exec_counts.keys()
+        for s, counts in full.loop_exec_counts.items():
+            assert np.array_equal(partial.loop_exec_counts[s], counts[:rows])
+
+
 class TestFsmDriver:
     def test_bundled_never_needs_more_ticks_than_plain(self):
         bundle = drmh_kernel(40, 0.2)
