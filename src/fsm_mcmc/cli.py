@@ -35,6 +35,7 @@ from .kernels import (
 from .lockstep import (
     STEP_VARIANTS,
     CostParams,
+    KernelRunError,
     TickBudgetExceeded,
     init_batch,
     run_fsm_batched,
@@ -248,20 +249,21 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     base = {"kernel": bundle.name, "target": target.name, "m": config.chains,
             "n": config.samples, "variant": config.variant, "config_hash": chash}
     for seed in config.seeds:
-        batch_std = init_batch(bundle, target, config.chains, seed,
-                               init_jitter=config.init_jitter)
-        std_samples, std_ledger = run_standard_batched(
-            bundle, target, batch_std, config.samples, cost_params=params)
-        batch_fsm = init_batch(bundle, target, config.chains, seed,
-                               init_jitter=config.init_jitter)
+        # the batch of the regime running, whose counts a partial file records
+        batch = init_batch(bundle, target, config.chains, seed,
+                           init_jitter=config.init_jitter)
         try:
+            std_samples, std_ledger = run_standard_batched(
+                bundle, target, batch, config.samples, cost_params=params)
+            batch = init_batch(bundle, target, config.chains, seed,
+                               init_jitter=config.init_jitter)
             fsm_samples, fsm_ledger = run_fsm_batched(
-                bundle, target, batch_fsm, config.samples,
+                bundle, target, batch, config.samples,
                 step_variant=config.variant, cost_params=params,
                 tick_budget=config.tick_budget)
-        except TickBudgetExceeded as exc:
+        except (TickBudgetExceeded, KernelRunError) as exc:
             if write:
-                _save_partial(out_dir, seed, exc)
+                _save_partial(out_dir, seed, exc, batch.sample_counts)
             raise
         if not np.array_equal(std_samples, fsm_samples):
             raise RuntimeError(
@@ -317,15 +319,30 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
     return result
 
 
-def _save_partial(out_dir: Path, seed: int, exc: TickBudgetExceeded) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
+def _save_partial(out_dir: Path, seed: int, exc: TickBudgetExceeded | KernelRunError,
+                  sample_counts: list[int]) -> None:
+    """Write ``partial_seed{seed}.json``: what a failed run had finished.
+
+    A kernel failure also names its regime, chain, sample index and cause,
+    and keeps the inner-iteration counts of the rows every chain finished.
+    """
+    ledger = exc.ledger
     payload = {
         "error": "tick budget exceeded",
         "seed": seed,
-        "ticks": exc.ledger.tick_count,
-        "charged_cost": exc.ledger.charged_cost,
-        "sample_counts": exc.sample_counts,
+        "ticks": ledger.tick_count,
+        "charged_cost": ledger.charged_cost,
+        "sample_counts": list(sample_counts),
     }
+    if isinstance(exc, KernelRunError):
+        payload.update({
+            "error": "kernel failed",
+            "regime": ledger.regime,
+            "chain": exc.chain,
+            "sample_index": exc.iteration,
+            "cause": str(exc.cause),
+            "iter_counts": ledger.iter_counts.tolist(),
+        })
     (out_dir / f"partial_seed{seed}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 

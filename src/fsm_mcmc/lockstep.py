@@ -67,7 +67,7 @@ class KernelRunError(RuntimeError):
     """
 
     def __init__(self, chain: int, iteration: int, cause: Exception,
-                 ledger: "CostLedger | None" = None):
+                 ledger: "CostLedger"):
         super().__init__(f"chain {chain}, sample index {iteration}: {cause}")
         self.chain = chain
         self.iteration = iteration

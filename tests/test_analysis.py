@@ -105,6 +105,25 @@ class TestConcentration:
         assert rep.slope is not None
         assert -0.65 < rep.slope < -0.35
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_fit_equals_linregress(self, seed):
+        from scipy import stats  # the reference only; the package avoids it
+
+        rng = np.random.default_rng(seed)
+        n_max = int(rng.integers(2_000, 5_000))
+        grid = sorted({int(n) for n in np.geomspace(int(rng.integers(5, 20)), n_max,
+                                                    int(rng.integers(4, 8)))})
+        runs = [rng.geometric(rng.uniform(0.2, 0.6), size=(n_max, 3)) for _ in range(8)]
+        params = CostParams(block_costs=(0.5, 1.0, 0.25), alpha=1.0, loop_states=(2,))
+        rep = concentration_check(runs, grid, params)
+        fit = stats.linregress(np.log(rep.n_grid), np.log(rep.deviations))
+        assert not rep.degenerate
+        assert rep.slope == pytest.approx(fit.slope, rel=1e-12)
+        assert rep.slope_stderr == pytest.approx(fit.stderr, rel=1e-12)
+        half = 1.96 * fit.stderr
+        assert rep.slope_ci95 == pytest.approx((fit.slope - half, fit.slope + half),
+                                               rel=1e-12)
+
     def test_grid_validation(self):
         params = CostParams(block_costs=(1.0,), alpha=1.0)
         with pytest.raises(ValueError):

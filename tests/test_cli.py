@@ -1,6 +1,6 @@
 import filecmp
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -264,6 +264,63 @@ class TestMain:
         assert main(argv + ["--out", str(out)]) == 2
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["errors"]
         assert not out.exists()
+
+
+class TestPartialResults:
+    """A run that fails keeps what every chain finished in partial_seed{seed}.json."""
+
+    ARGV = ["--kernel", "drmh", "--drmh-max-tries", "10", "--drmh-proposal-scale", "1.5",
+            "--chains", "3", "--samples", "60", "--init-jitter", "1.0", "--seeds", "4"]
+
+    @staticmethod
+    def _counting_targets(monkeypatch, fail_after=None):
+        """Make every target the CLI builds count its log-density calls in
+        ``calls`` and return +inf once it has made ``fail_after`` of them."""
+        calls = [0]
+        build = cli.build_target
+
+        def build_counting(config):
+            target = build(config)
+
+            def log_density(x):
+                calls[0] += 1
+                if fail_after is not None and calls[0] > fail_after:
+                    return float("inf")
+                return target.log_density(x)
+
+            return replace(target, log_density=log_density)
+
+        monkeypatch.setattr(cli, "build_target", build_counting)
+        return calls
+
+    @pytest.mark.parametrize("regime, share", [("standard", 0.25), ("fsm-plain", 0.75)])
+    def test_kernel_failure_writes_the_finished_rows(self, tmp_path, monkeypatch,
+                                                     capsys, regime, share):
+        with monkeypatch.context() as patch:
+            calls = self._counting_targets(patch)
+            config = config_from_args(build_parser().parse_args(self.ARGV))
+            whole = run_experiment(config, write=False)
+        # the barrier runs first and both regimes make about as many calls
+        fail_after = int(share * calls[0])
+        full = whole.reports[0]["ledgers"][regime]
+        self._counting_targets(monkeypatch, fail_after)
+        out = tmp_path / "run"
+        assert main(self.ARGV + ["--out", str(out)]) == 1
+        assert "log-density evaluated to inf" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+        partial = json.loads((out / "partial_seed4.json").read_text())
+        assert set(partial) == {"error", "seed", "ticks", "charged_cost", "sample_counts",
+                                "regime", "chain", "sample_index", "cause", "iter_counts"}
+        assert partial["error"] == "kernel failed"
+        assert partial["seed"] == 4
+        assert partial["regime"] == regime
+        assert "log-density evaluated to inf" in partial["cause"]
+        counts = partial["sample_counts"]
+        assert partial["sample_index"] == counts[partial["chain"]]
+        rows = len(partial["iter_counts"])
+        assert rows == min(counts)
+        assert 0 < rows < 60
+        assert np.array_equal(partial["iter_counts"], full.iter_counts[:rows])
 
 
 # one non-default value per RunConfig field: (flag/file text, parsed value)

@@ -60,13 +60,24 @@ def single_loop(budget):
     return machine, CounterLocals(body_budget=budget)
 
 
+# far above any test's need; a transition that never reaches the final
+# state then fails the test instead of hanging it
+DRIVE_MAX_TICKS = 1000
+
+
 def drive(machine, z, step_fn=step, n_samples=1, start=1):
-    """Run until n_samples flagged; return (ticks, per-state exec counts)."""
+    """Run until n_samples flagged; return (ticks, per-state exec counts).
+
+    Fails after ``DRIVE_MAX_TICKS`` ticks, naming the last state.
+    """
     k = start
     ticks = 0
     execs = {s: 0 for s in range(1, machine.n_states + 1)}
     got = 0
     while got < n_samples:
+        if ticks == DRIVE_MAX_TICKS:
+            pytest.fail(f"{got} of {n_samples} samples after {ticks} ticks; "
+                        f"last state {k} ({machine.labels[k - 1]})")
         out = step_fn(machine, k, z)
         ticks += 1
         for s in out.executed:
