@@ -1,14 +1,14 @@
 """Multi-chain MCMC with state-machine kernels and lockstep cost accounting."""
 
 from .fsm import (
+    Block,
     FsmDefinition,
     Locals,
     SharedComputation,
     StepOutcome,
+    While,
     bundled_step,
-    compose_nested,
-    compose_sequential,
-    compose_single_loop,
+    compile_program,
     step,
 )
 from .kernels import drmh_kernel, elliptical_kernel, nuts_kernel, slice_kernel

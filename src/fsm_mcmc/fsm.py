@@ -1,9 +1,19 @@
 """State-machine representation of transition kernels.
 
-A kernel is decomposed into K while-loop-free block functions plus a
-transition function over state labels 1..K.  Loop predicates live in the
-transition function; blocks mutate a per-chain :class:`Locals` record in
-place.  Two executors are provided:
+A kernel is written once, as a program: a tuple of :class:`Block` nodes
+(while-loop-free functions that mutate a per-chain :class:`Locals` record in
+place) and :class:`While` nodes (a continue predicate and a body).
+:func:`compile_program` derives both forms of the kernel from it:
+
+* the machine, K blocks numbered 1..K in program order plus a transition
+  function that holds the loop predicates;
+* the monolithic form, one interpreter that runs the program's while loops
+  on the locals and counts each loop state's executions.
+
+This is the program-counter view of autobatching (Radul et al.,
+"Automatically batching control-intensive programs for modern
+accelerators", MLSys 2020): a state id is a program counter.  Two machine
+executors are provided:
 
 * :func:`step` - run one block and one transition (one state per tick),
 * :func:`bundled_step` - chain the per-state conditionals so a chain can
@@ -47,12 +57,12 @@ __all__ = [
     "bundled_step",
     "default_bundled_order",
     "validate_bundled_order",
-    "compose_single_loop",
-    "compose_sequential",
-    "compose_nested",
+    "Block",
+    "While",
+    "CompiledProgram",
+    "compile_program",
     "empty_block",
     "topology_as_dict",
-    "topology_as_graphviz",
 ]
 
 
@@ -74,8 +84,8 @@ class Locals:
     Subclasses add kernel-specific fields.  ``x`` is the current sample,
     ``rng`` the chain's stream position, and ``needs_shared`` the request
     flag for the kernel's shared computation (if any).  Blocks keep no loop
-    counters: the drivers count block executions, and a monolithic kernel
-    counts its own while loops.
+    counters: the drivers and the program interpreter count block
+    executions.
     """
 
     __slots__ = ("x", "rng", "needs_shared")
@@ -97,7 +107,6 @@ class SharedComputation:
 
     fn: Callable[[Any], None]
     sites: dict[int, int]
-    label: str = "shared"
 
 
 @dataclass(frozen=True)
@@ -106,7 +115,8 @@ class FsmDefinition:
 
     States are indexed 1..K; ``blocks[k-1]`` is the function for state k.
     ``edges`` declares every transition the ``transition`` callable may take;
-    it is what makes the machine checkable and exportable.
+    it is what makes the machine checkable and exportable.  Kernels get
+    theirs from :func:`compile_program`.
     """
 
     blocks: tuple[Callable[[Any], Any], ...]
@@ -115,7 +125,6 @@ class FsmDefinition:
     edges: frozenset[tuple[int, int]]
     loop_states: frozenset[int] = frozenset()
     shared: SharedComputation | None = None
-    locals_type: type | None = None
 
     def __post_init__(self):
         K = len(self.blocks)
@@ -253,118 +262,187 @@ def bundled_step(fsm: FsmDefinition, k: int, z, order: tuple[int, ...] | None = 
 
 
 def empty_block(z):
-    """The no-op block; used where a composition rule requires an empty state."""
+    """The no-op block, for a state that only separates two loops."""
     return z
 
 
-def compose_single_loop(pre_block, body_block, post_block, loop_condition,
-                        labels: tuple[str, str, str] = ("INIT", "BODY", "DONE"),
-                        shared: SharedComputation | None = None,
-                        locals_type: type | None = None) -> FsmDefinition:
-    """Three-state machine for a program with one while loop.
+class Block(NamedTuple):
+    """A while-loop-free block of a kernel program; one machine state.
 
-    ``loop_condition(z)`` is the *continue* predicate, checked after the pre
-    block and after every body execution.
+    ``shared`` marks a block that requests the kernel's shared computation
+    (one call site in the cost model).
     """
 
-    def transition(k: int, z) -> int:
-        if k == 3:
-            return 1
-        return 2 if loop_condition(z) else 3
-
-    return FsmDefinition(
-        blocks=(pre_block, body_block, post_block),
-        transition=transition,
-        labels=tuple(labels),
-        edges=frozenset({(1, 2), (1, 3), (2, 2), (2, 3), (3, 1)}),
-        loop_states=frozenset({2}),
-        shared=shared,
-        locals_type=locals_type,
-    )
+    fn: Callable[[Any], Any]
+    label: str
+    shared: bool = False
 
 
-def compose_sequential(f1: FsmDefinition, f2: FsmDefinition) -> FsmDefinition:
-    """Stitch two single-loop machines run back to back into one 5-state machine.
+class While(NamedTuple):
+    """``while cond(z): body`` in a kernel program; ``body`` is a tuple of nodes."""
 
-    ``f2``'s pre block must be :func:`empty_block` (whatever setup the second
-    loop needs belongs in ``f1``'s post block); its dispatch is absorbed into
-    state 3.  States: (f1 pre, f1 body, f1 post, f2 body, f2 post).
+    cond: Callable[[Any], bool]
+    body: tuple
+
+
+class CompiledProgram(NamedTuple):
+    """What :func:`compile_program` derives from one program tree."""
+
+    fsm: FsmDefinition
+    monolithic: Callable[[Any], dict[int, int]]
+    iter_states: tuple[int, ...]
+
+
+def compile_program(program: tuple, shared: Callable[[Any], None] | None = None
+                    ) -> CompiledProgram:
+    """Number a program's blocks 1..K in order and derive both of its forms.
+
+    A program is a tuple of :class:`Block` and :class:`While` nodes that
+    starts with a block and ends with a block outside every loop; ``shared``
+    is the kernel's shared computation, if any.  The machine's transition out
+    of block k follows program order from k, evaluating each ``While``
+    condition it meets, and wraps the last block to 1; its edges are every
+    way that walk can go.  The loop states are the blocks inside a ``While``;
+    ``iter_states`` is the first block of each innermost loop body.
+
+    ``monolithic(z)`` runs the same blocks as while loops on ``z`` in place,
+    refreshing the shared cache after a block that requests it, as the
+    executors do, and returns each loop state's executions.
     """
-    if f1.n_states != 3 or f2.n_states != 3:
-        raise FsmError("sequential composition expects two single-loop machines")
-    if f2.blocks[0] is not empty_block:
-        raise FsmError("the second machine's pre block must be empty_block")
-    if (f1.locals_type is not None and f2.locals_type is not None
-            and f1.locals_type is not f2.locals_type):
-        raise FsmError(
-            f"locals shapes differ: {f1.locals_type.__name__} vs {f2.locals_type.__name__}"
-        )
-    d1, d2 = f1.transition, f2.transition
-    remap2 = {2: 4, 3: 5}
+    blocks: list[Block] = []
+    loop_states: set[int] = set()
+    iter_states: list[int] = []
+
+    def number(nodes: tuple, in_loop: bool) -> tuple:
+        # the tree with each block replaced by its state id
+        if not nodes:
+            raise FsmError("a While body needs at least one block")
+        out = []
+        for node in nodes:
+            if isinstance(node, Block):
+                blocks.append(node)
+                out.append(len(blocks))
+                if in_loop:
+                    loop_states.add(len(blocks))
+            elif isinstance(node, While):
+                body = number(node.body, True)
+                if all(type(b) is int for b in body):
+                    iter_states.append(body[0])
+                out.append(While(node.cond, body))
+            else:
+                raise FsmError(f"program node {node!r} is neither a Block nor a While")
+        return tuple(out)
+
+    if not (program and isinstance(program[0], Block) and isinstance(program[-1], Block)):
+        raise FsmError("a program starts with a block and ends with a block outside "
+                       "every loop")
+    tree = number(program, False)
+    K = len(blocks)
+    sites = {k: 1 for k, b in enumerate(blocks, start=1) if b.shared}
+    if sites and shared is None:
+        raise FsmError("blocks are marked shared but no shared computation is given")
+
+    # after[k]: where control goes once block k has run, either a state id
+    # or a loop test [cond, state-or-test if true, state-or-test if false]
+    after: list = [None] * (K + 1)
+
+    def link(nodes: tuple, cont):
+        for node in reversed(nodes):
+            if type(node) is int:
+                after[node] = cont
+                cont = node
+            else:
+                test = [node.cond, None, cont]
+                test[1] = link(node.body, test)
+                cont = test
+        return cont
+
+    link(tree, 1)
 
     def transition(k: int, z) -> int:
-        if k in (1, 2):
-            return d1(k, z)
-        if k == 3:
-            return remap2[d2(1, z)]
-        if k == 4:
-            return remap2[d2(2, z)]
-        return 1
+        c = after[k]
+        while type(c) is list:
+            c = c[1] if c[0](z) else c[2]
+        return c
 
-    if f1.shared is not None or f2.shared is not None:
-        raise FsmError("sequential composition of shared computations is not supported")
-    return FsmDefinition(
-        blocks=(f1.blocks[0], f1.blocks[1], f1.blocks[2], f2.blocks[1], f2.blocks[2]),
+    edges = set()
+    for k in range(1, K + 1):
+        todo, seen = [after[k]], set()
+        while todo:
+            c = todo.pop()
+            if type(c) is not list:
+                edges.add((k, c))
+            elif id(c) not in seen:
+                seen.add(id(c))
+                todo += c[1:]
+
+    machine = FsmDefinition(
+        blocks=tuple(b.fn for b in blocks),
         transition=transition,
-        labels=(f1.labels[0], f1.labels[1], f1.labels[2], f2.labels[1], f2.labels[2]),
-        edges=frozenset({(1, 2), (1, 3), (2, 2), (2, 3), (3, 4), (3, 5),
-                         (4, 4), (4, 5), (5, 1)}),
-        loop_states=frozenset({2, 4}),
-        locals_type=f1.locals_type or f2.locals_type,
+        labels=tuple(b.label for b in blocks),
+        edges=frozenset(edges),
+        loop_states=frozenset(loop_states),
+        shared=SharedComputation(shared, sites) if shared is not None else None,
     )
+    monolithic = _interpreter(tree, machine.blocks, shared, sorted(loop_states))
+    return CompiledProgram(machine, monolithic, tuple(iter_states))
 
 
-def compose_nested(pre_block, inner_fsm: FsmDefinition, post_block, outer_condition,
-                   labels: tuple[str, str] = ("INIT", "DONE"),
-                   locals_type: type | None = None) -> FsmDefinition:
-    """Five-state machine for an outer while loop whose body is a single-loop program.
+def _interpreter(tree: tuple, fns: tuple, shared, loop_states: list[int]):
+    """Compile a numbered program tree into ``monolithic(z) -> {loop state: executions}``.
 
-    The transition out of state 1 and out of the inner post state both
-    evaluate ``outer_condition`` (continue -> inner pre, stop -> final);
-    transitions inside states 2..3 follow the inner machine.  States:
-    (pre, inner pre, inner body, inner post, post).
+    A sequence becomes a tuple of steps: a block's own function, or a loop
+    closure that takes the counts too.  A loop counts its iterations once
+    and credits them to each block directly in its body.
     """
-    if inner_fsm.n_states != 3:
-        raise FsmError("nested composition expects a single-loop inner machine")
-    if (locals_type is not None and inner_fsm.locals_type is not None
-            and locals_type is not inner_fsm.locals_type):
-        raise FsmError(
-            f"locals shapes differ: {locals_type.__name__} vs {inner_fsm.locals_type.__name__}"
-        )
-    di = inner_fsm.transition
-    remap = {2: 3, 3: 4}
 
-    def transition(k: int, z) -> int:
-        if k in (1, 4):
-            return 2 if outer_condition(z) else 5
-        if k == 2:
-            return remap[di(1, z)]
-        if k == 3:
-            return remap[di(2, z)]
-        return 1
+    def run(steps: tuple, z, counts: dict) -> None:
+        for fn, is_loop in steps:
+            if is_loop:
+                fn(z, counts)
+            else:
+                fn(z)
+                if shared is not None and z.needs_shared:
+                    shared(z)
+                    z.needs_shared = False
 
-    return FsmDefinition(
-        blocks=(pre_block, inner_fsm.blocks[0], inner_fsm.blocks[1],
-                inner_fsm.blocks[2], post_block),
-        transition=transition,
-        labels=(labels[0], inner_fsm.labels[0], inner_fsm.labels[1],
-                inner_fsm.labels[2], labels[1]),
-        edges=frozenset({(1, 2), (1, 5), (2, 3), (2, 4), (3, 3), (3, 4),
-                         (4, 2), (4, 5), (5, 1)}),
-        loop_states=frozenset({2, 3, 4}),
-        shared=inner_fsm.shared,
-        locals_type=locals_type or inner_fsm.locals_type,
-    )
+    def compile_seq(nodes: tuple) -> tuple:
+        return tuple((fns[node - 1], False) if type(node) is int
+                     else (compile_loop(node), True) for node in nodes)
+
+    def compile_loop(node: While):
+        cond, body = node.cond, compile_seq(node.body)
+        states = tuple(s for s in node.body if type(s) is int)
+        if len(body) == 1 and shared is None and states:
+            # one block and nothing to refresh (drmh, slice, NUTS's inner
+            # loop): call it straight from the while loop, as written by hand
+            fn, (s,) = body[0][0], states
+
+            def loop(z, counts: dict) -> None:
+                i = 0
+                while cond(z):
+                    fn(z)
+                    i += 1
+                counts[s] += i
+        else:
+            def loop(z, counts: dict) -> None:
+                i = 0
+                while cond(z):
+                    run(body, z, counts)
+                    i += 1
+                for s in states:
+                    counts[s] += i
+        return loop
+
+    top = compile_seq(tree)
+    zero = dict.fromkeys(loop_states, 0)
+
+    def monolithic(z) -> dict[int, int]:
+        counts = zero.copy()
+        run(top, z, counts)
+        return counts
+
+    return monolithic
 
 
 def topology_as_dict(fsm: FsmDefinition) -> dict:
@@ -376,15 +454,3 @@ def topology_as_dict(fsm: FsmDefinition) -> dict:
         "loop_states": sorted(fsm.loop_states),
         "edges": sorted([a, b] for a, b in fsm.edges),
     }
-
-
-def topology_as_graphviz(fsm: FsmDefinition) -> str:
-    """Graphviz digraph text for documentation."""
-    lines = ["digraph fsm {", "  rankdir=LR;"]
-    for i, lab in enumerate(fsm.labels, start=1):
-        shape = "doublecircle" if i == fsm.final else "circle"
-        lines.append(f'  s{i} [label="{lab}", shape={shape}];')
-    for a, b in sorted(fsm.edges):
-        lines.append(f"  s{a} -> s{b};")
-    lines.append("}")
-    return "\n".join(lines)

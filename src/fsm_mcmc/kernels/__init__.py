@@ -1,4 +1,4 @@
-"""Transition kernels, each as a monolithic sampler plus its state machine."""
+"""Transition kernels, each one program compiled to a monolithic sampler and a machine."""
 
 from __future__ import annotations
 

@@ -1,9 +1,11 @@
 """Shared kernel plumbing.
 
-Each kernel ships in two forms that consume identical randomness: a
-monolithic function (plain while loops, the reference) and a state-machine
-decomposition of the same blocks.  Both forms step the chain's own
-persistent ``Locals`` and are carried by a :class:`KernelBundle`.
+Each kernel is written once, as a program of blocks and while loops
+(:mod:`fsm_mcmc.fsm`), and runs in the two forms compiled from it: a
+monolithic function (the program's while loops, the barrier's reference)
+and a state machine over the same blocks.  Both forms consume identical
+randomness, step the chain's own persistent ``Locals`` and are carried by a
+:class:`KernelBundle`.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from ..fsm import BlockFailure, FsmDefinition
+from ..fsm import BlockFailure, FsmDefinition, compile_program
 from ..lockstep import CostParams
 from ..targets import TargetModel
 
@@ -25,10 +27,9 @@ class KernelError(ValueError):
     """Invalid kernel construction or target/kernel mismatch."""
 
 
-# A monolithic transition kernel: draws one sample by running the machine's
-# blocks as while loops on the chain's Locals in place, counting them, and
-# returns {loop-state id: number of executions for this sample} for every
-# loop state of the machine.
+# A monolithic transition kernel: draws one sample by running the program's
+# while loops on the chain's Locals in place, and returns {loop-state id:
+# number of executions for this sample} for every loop state of the machine.
 MonolithicKernel = Callable[[Any], dict[int, int]]
 
 
@@ -37,10 +38,12 @@ class KernelBundle:
     """A transition kernel in monolithic and state-machine form.
 
     ``iter_states`` are the machine states whose executions sum to the
-    kernel's reported inner-iteration count N.
+    kernel's reported inner-iteration count N.  ``program`` is the tree both
+    forms were compiled from (:meth:`from_program`).
     """
 
     name: str
+    program: tuple
     fsm: FsmDefinition
     monolithic: MonolithicKernel
     init_locals: Callable[[np.ndarray, Any, TargetModel], Any]
@@ -48,11 +51,27 @@ class KernelBundle:
     default_costs: CostParams
     requires: Callable[[TargetModel], list[str]] | None = None
 
-    def __post_init__(self):
-        if not set(self.iter_states) <= self.fsm.loop_states:
-            raise KernelError(
-                f"{self.name}: iter_states {self.iter_states} must be loop states"
-            )
+    @classmethod
+    def from_program(cls, name: str, program: tuple,
+                     init_locals: Callable[[np.ndarray, Any, TargetModel], Any], *,
+                     shared: Callable[[Any], None] | None = None,
+                     block_costs: tuple[float, ...] | None = None,
+                     shared_cost: float = 1.0,
+                     requires: Callable[[TargetModel], list[str]] | None = None,
+                     ) -> "KernelBundle":
+        """The kernel compiled from its program; block costs default to one unit."""
+        machine, monolithic, iter_states = compile_program(program, shared)
+        return cls(
+            name=name,
+            program=program,
+            fsm=machine,
+            monolithic=monolithic,
+            init_locals=init_locals,
+            iter_states=iter_states,
+            default_costs=CostParams.for_fsm(machine, block_costs=block_costs,
+                                             shared_cost=shared_cost),
+            requires=requires,
+        )
 
     def check_target(self, target: TargetModel) -> None:
         if self.requires is not None:
@@ -66,4 +85,3 @@ def check_log_density(value: float, label: str) -> float:
     if math.isnan(value) or value == math.inf:
         raise BlockFailure(label, f"log-density evaluated to {value}")
     return value
-

@@ -22,8 +22,7 @@ import math
 
 import numpy as np
 
-from ..fsm import FsmDefinition, Locals, compose_single_loop
-from ..lockstep import CostParams
+from ..fsm import Block, Locals, While
 from ..prng import normal_vec, uniform
 from .base import KernelBundle, KernelError, check_log_density
 
@@ -126,55 +125,26 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
         z.lp_y = z.lp_cand
         return z
 
-    if not split_body:
-        machine = compose_single_loop(
-            _init, _propose, _done, _continue,
-            labels=("INIT", "PROPOSE", "DONE"),
-            locals_type=DrmhLocals,
+    if split_body:
+        program = (
+            Block(_init, "INIT"),
+            While(_continue, (Block(_p_draw, "PROP-DRAW"), Block(_p_eval, "PROP-EVAL"),
+                              Block(_p_test, "PROP-TEST"), Block(_p_apply, "PROP-APPLY"))),
+            Block(_done, "DONE"),
         )
-        iter_states = (2,)
+        # INIT and DONE are bookkeeping-only; the proposal stages carry the work
+        block_costs = (0.05, 1.0, 1.0, 1.0, 1.0, 0.05)
     else:
-        def transition(k: int, z: DrmhLocals) -> int:
-            if k in (2, 3, 4):
-                return k + 1
-            if k in (1, 5):
-                return 2 if _continue(z) else 6
-            return 1
-
-        machine = FsmDefinition(
-            blocks=(_init, _p_draw, _p_eval, _p_test, _p_apply, _done),
-            transition=transition,
-            labels=("INIT", "PROP-DRAW", "PROP-EVAL", "PROP-TEST", "PROP-APPLY", "DONE"),
-            edges=frozenset({(1, 2), (1, 6), (2, 3), (3, 4), (4, 5),
-                             (5, 2), (5, 6), (6, 1)}),
-            loop_states=frozenset({2, 3, 4, 5}),
-            locals_type=DrmhLocals,
+        program = (
+            Block(_init, "INIT"),
+            While(_continue, (Block(_propose, "PROPOSE"),)),
+            Block(_done, "DONE"),
         )
-        iter_states = (2,)
-
-    loop_states = tuple(sorted(machine.loop_states))
+        block_costs = (0.05, 1.0, 0.05)
 
     def init_locals(x0, rng, target):
         return DrmhLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(z: DrmhLocals) -> dict[int, int]:
-        _init(z)
-        while _continue(z):
-            _propose(z)
-        _done(z)
-        # every loop state runs once per proposal stage
-        return {s: z.try_index for s in loop_states}
-
-    # INIT and DONE are bookkeeping-only; the proposal stages carry the work
-    if split_body:
-        block_costs = (0.05, 1.0, 1.0, 1.0, 1.0, 0.05)
-    else:
-        block_costs = (0.05, 1.0, 0.05)
-    return KernelBundle(
-        name="drmh-split" if split_body else "drmh",
-        fsm=machine,
-        monolithic=monolithic,
-        init_locals=init_locals,
-        iter_states=iter_states,
-        default_costs=CostParams.for_fsm(machine, block_costs=block_costs),
-    )
+    return KernelBundle.from_program(
+        "drmh-split" if split_body else "drmh", program, init_locals,
+        block_costs=block_costs)

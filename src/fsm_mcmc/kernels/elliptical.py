@@ -19,8 +19,7 @@ import math
 
 import numpy as np
 
-from ..fsm import Locals, SharedComputation, compose_single_loop
-from ..lockstep import CostParams
+from ..fsm import Block, Locals, While
 from ..prng import normal_vec, uniform
 from .base import KernelBundle, check_log_density
 
@@ -90,13 +89,10 @@ def elliptical_kernel() -> KernelBundle:
     def _below_threshold(z: EllipticalLocals) -> bool:
         return z.lp_fprop < z.logy
 
-    shared = SharedComputation(fn=_refresh_residual, sites={1: 1, 2: 1},
-                               label="residual log-density")
-    machine = compose_single_loop(
-        _init, _shrink, _done, _below_threshold,
-        labels=("INIT", "SHRINK", "DONE"),
-        shared=shared,
-        locals_type=EllipticalLocals,
+    program = (
+        Block(_init, "INIT", shared=True),
+        While(_below_threshold, (Block(_shrink, "SHRINK", shared=True),)),
+        Block(_done, "DONE"),
     )
 
     def requires(target):
@@ -111,26 +107,6 @@ def elliptical_kernel() -> KernelBundle:
     def init_locals(x0, rng, target):
         return EllipticalLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(z: EllipticalLocals) -> dict[int, int]:
-        _init(z)
-        _refresh_residual(z)
-        z.needs_shared = False
-        n_shrink = 0
-        while _below_threshold(z):
-            _shrink(z)
-            _refresh_residual(z)
-            z.needs_shared = False
-            n_shrink += 1
-        _done(z)
-        return {2: n_shrink}
-
-    return KernelBundle(
-        name="elliptical",
-        fsm=machine,
-        monolithic=monolithic,
-        init_locals=init_locals,
-        iter_states=(2,),
-        default_costs=CostParams.for_fsm(
-            machine, block_costs=(0.02, 0.02, 0.01), shared_cost=1.0),
-        requires=requires,
-    )
+    return KernelBundle.from_program(
+        "elliptical", program, init_locals, shared=_refresh_residual,
+        block_costs=(0.02, 0.02, 0.01), shared_cost=1.0, requires=requires)

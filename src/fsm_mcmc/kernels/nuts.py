@@ -35,8 +35,7 @@ import math
 
 import numpy as np
 
-from ..fsm import Locals, compose_nested, compose_single_loop
-from ..lockstep import CostParams
+from ..fsm import Block, Locals, While
 from ..prng import normal_vec, uniform
 from .base import KernelBundle, KernelError, check_log_density
 
@@ -234,15 +233,14 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         z.lp_x, z.g_x = z.lp_prop, z.g_prop
         return z
 
-    inner = compose_single_loop(
-        _double, _integrate, _check, _inner_continue,
-        labels=("DOUBLE", "INTEGRATE", "CHECK"),
-        locals_type=NutsLocals,
-    )
-    machine = compose_nested(
-        _init, inner, _done, _outer_continue,
-        labels=("INIT", "DONE"),
-        locals_type=NutsLocals,
+    program = (
+        Block(_init, "INIT"),
+        While(_outer_continue, (
+            Block(_double, "DOUBLE"),
+            While(_inner_continue, (Block(_integrate, "INTEGRATE"),)),
+            Block(_check, "CHECK"),
+        )),
+        Block(_done, "DONE"),
     )
 
     def requires(target):
@@ -253,26 +251,6 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
     def init_locals(x0, rng, target):
         return NutsLocals(np.asarray(x0, dtype=float), rng, target, max_depth)
 
-    def monolithic(z: NutsLocals) -> dict[int, int]:
-        _init(z)
-        n_outer = n_integrate = 0
-        while _outer_continue(z):
-            _double(z)
-            while _inner_continue(z):
-                _integrate(z)
-                n_integrate += 1
-            _check(z)
-            n_outer += 1
-        _done(z)
-        return {2: n_outer, 3: n_integrate, 4: n_outer}
-
-    return KernelBundle(
-        name="nuts",
-        fsm=machine,
-        monolithic=monolithic,
-        init_locals=init_locals,
-        iter_states=(3,),
-        default_costs=CostParams.for_fsm(
-            machine, block_costs=(1.0, 0.05, 1.0, 0.1, 0.02)),
-        requires=requires,
-    )
+    return KernelBundle.from_program(
+        "nuts", program, init_locals, block_costs=(1.0, 0.05, 1.0, 0.1, 0.02),
+        requires=requires)

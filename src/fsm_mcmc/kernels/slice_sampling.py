@@ -18,8 +18,7 @@ import math
 
 import numpy as np
 
-from ..fsm import Locals, compose_sequential, compose_single_loop, empty_block
-from ..lockstep import CostParams
+from ..fsm import Block, Locals, While, empty_block
 from ..prng import uniform
 from .base import KernelBundle, KernelError, check_log_density
 
@@ -106,17 +105,13 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         z.lp_x = z.lp_x1
         return z
 
-    expand_fsm = compose_single_loop(
-        _init_expand, _expand, empty_block, _expand_continue,
-        labels=("INIT-E", "EXPAND", "INIT-S"),
-        locals_type=SliceLocals,
+    program = (
+        Block(_init_expand, "INIT-E"),
+        While(_expand_continue, (Block(_expand, "EXPAND"),)),
+        Block(empty_block, "INIT-S"),
+        While(_shrink_continue, (Block(_shrink, "SHRINK"),)),
+        Block(_done, "DONE"),
     )
-    shrink_fsm = compose_single_loop(
-        empty_block, _shrink, _done, _shrink_continue,
-        labels=("INIT-S", "SHRINK", "DONE"),
-        locals_type=SliceLocals,
-    )
-    machine = compose_sequential(expand_fsm, shrink_fsm)
 
     def requires(target):
         if target.dim != 1:
@@ -126,23 +121,4 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
     def init_locals(x0, rng, target):
         return SliceLocals(np.asarray(x0, dtype=float), rng, target)
 
-    def monolithic(z: SliceLocals) -> dict[int, int]:
-        _init_expand(z)
-        while _expand_continue(z):
-            _expand(z)
-        n_shrink = 0
-        while _shrink_continue(z):
-            _shrink(z)
-            n_shrink += 1
-        _done(z)
-        return {2: z.n_expand, 4: n_shrink}
-
-    return KernelBundle(
-        name="slice",
-        fsm=machine,
-        monolithic=monolithic,
-        init_locals=init_locals,
-        iter_states=(2, 4),
-        default_costs=CostParams.for_fsm(machine),
-        requires=requires,
-    )
+    return KernelBundle.from_program("slice", program, init_locals, requires=requires)

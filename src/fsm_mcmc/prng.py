@@ -55,6 +55,8 @@ _STREAM_SALT = 0xC2B2AE3D27D4EB4F
 _COUNTER_SALT = 0x165667B19E3779F9
 
 _INV_2_53 = 2.0 ** -53
+# the largest float64 below 1; a normal's p is clamped to it (see normal_vec)
+_P_MAX = 1.0 - _INV_2_53
 
 _WINDOW = 64                        # draws per window; a power of two
 _WINDOW_BASE = _MASK64 ^ (_WINDOW - 1)  # counter & _WINDOW_BASE = window start
@@ -131,8 +133,8 @@ def _fill_window(seed: int, stream: int, base: int, old):
 
     ``base`` is a multiple of 64 and ``old`` the stream's stored window, or
     None.  Uniforms are ``bits53 * 2^-53`` and normals
-    ``ndtri((bits53 + 0.5) * 2^-53)``, each float step exact or rounded as
-    the scalar definition rounds it.
+    ``ndtri(min((bits53 + 0.5) * 2^-53, 1 - 2^-53))``, each float step exact
+    or rounded as the scalar definition rounds it.
     """
     if old is None:
         h = _stream_hash(seed, stream)
@@ -141,7 +143,9 @@ def _fill_window(seed: int, stream: int, base: int, old):
     else:
         h = old[3]
     b53 = (_bits_np(h, _SALTED_OFFSETS + np.uint64(base)) >> _U11).astype(np.float64)
-    window = (base, (b53 * _INV_2_53).tolist(), ndtri((b53 + 0.5) * _INV_2_53), h)
+    p = (b53 + 0.5) * _INV_2_53
+    np.minimum(p, _P_MAX, out=p)
+    window = (base, (b53 * _INV_2_53).tolist(), ndtri(p), h)
     _windows[seed, stream] = window
     return window
 
@@ -174,8 +178,12 @@ def uniform(k: RngKey) -> tuple[float, RngKey]:
 def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
     """A standard normal vector; consumes ``dim`` counters.
 
-    Each entry is the inverse CDF at the open-interval uniform
-    ``(bits53 + 0.5) * 2^-53`` of its counter, so the result is always finite.
+    Each entry is the inverse CDF at ``p = (bits53 + 0.5) * 2^-53`` of its
+    counter.  For bits53 < 2^52 that is the midpoint of the counter's cell
+    of the 2^-53 grid.  For bits53 >= 2^52 the ``+ 0.5`` is a tie in float64
+    and rounds to even, so p lands on a grid point, and at bits53 = 2^53 - 1
+    it rounds up to 1.0; p is therefore clamped at ``1 - 2^-53``, which keeps
+    every entry finite.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")

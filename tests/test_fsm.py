@@ -8,19 +8,18 @@ from hypothesis import strategies as st
 
 from fsm_mcmc import fsm
 from fsm_mcmc.fsm import (
+    Block,
     FsmDefinition,
     FsmError,
     Locals,
     SharedComputation,
+    While,
     bundled_step,
-    compose_nested,
-    compose_sequential,
-    compose_single_loop,
+    compile_program,
     default_bundled_order,
     empty_block,
     step,
     topology_as_dict,
-    topology_as_graphviz,
     validate_bundled_order,
 )
 
@@ -52,11 +51,11 @@ def tag(name):
 
 
 def single_loop(budget):
-    machine = compose_single_loop(
-        tag("INIT"), tag("BODY"), tag("DONE"),
-        loop_condition=lambda z: z.body_runs < z.body_budget,
-        labels=("INIT", "BODY", "DONE"),
-    )
+    machine = compile_program((
+        Block(tag("INIT"), "INIT"),
+        While(lambda z: z.body_runs < z.body_budget, (Block(tag("BODY"), "BODY"),)),
+        Block(tag("DONE"), "DONE"),
+    )).fsm
     return machine, CounterLocals(body_budget=budget)
 
 
@@ -214,11 +213,13 @@ def test_amortized_step_runs_shared_between_block_and_transition():
 
 
 def test_compose_sequential_topology_and_path():
-    f1 = compose_single_loop(tag("INIT-E"), tag("EXPAND"), empty_block,
-                             lambda z: False, labels=("INIT-E", "EXPAND", "INIT-S"))
-    f2 = compose_single_loop(empty_block, tag("SHRINK"), tag("DONE"),
-                             lambda z: False, labels=("INIT-S", "SHRINK", "DONE"))
-    machine = compose_sequential(f1, f2)
+    machine = compile_program((
+        Block(tag("INIT-E"), "INIT-E"),
+        While(lambda z: False, (Block(tag("EXPAND"), "EXPAND"),)),
+        Block(empty_block, "INIT-S"),
+        While(lambda z: False, (Block(tag("SHRINK"), "SHRINK"),)),
+        Block(tag("DONE"), "DONE"),
+    )).fsm
     assert machine.labels == ("INIT-E", "EXPAND", "INIT-S", "SHRINK", "DONE")
     assert machine.final == 5
     assert machine.loop_states == frozenset({2, 4})
@@ -230,34 +231,17 @@ def test_compose_sequential_topology_and_path():
 
 
 def test_compose_sequential_with_trivial_second_machine():
-    f1 = compose_single_loop(tag("INIT"), tag("BODY"), empty_block,
-                             lambda z: z.body_runs < z.body_budget)
-    f2 = compose_single_loop(empty_block, empty_block, tag("DONE"),
-                             lambda z: False)
-    machine = compose_sequential(f1, f2)
+    machine = compile_program((
+        Block(tag("INIT"), "INIT"),
+        While(lambda z: z.body_runs < z.body_budget, (Block(tag("BODY"), "BODY"),)),
+        Block(empty_block, "MID"),
+        While(lambda z: False, (Block(empty_block, "EMPTY"),)),
+        Block(tag("DONE"), "DONE"),
+    )).fsm
     z = CounterLocals(body_budget=2)
     ticks, execs, _ = drive(machine, z)
     assert execs[2] == 2 and execs[4] == 0 and execs[5] == 1
-    assert ticks == 1 + 2 + 1 + 1  # INIT, BODY x2, absorbed dispatch, DONE
-
-
-def test_compose_sequential_requires_empty_second_pre_block():
-    f1 = compose_single_loop(tag("A"), tag("B"), empty_block, lambda z: False)
-    f2 = compose_single_loop(tag("NOT-EMPTY"), tag("C"), tag("D"), lambda z: False)
-    with pytest.raises(FsmError):
-        compose_sequential(f1, f2)
-
-
-def test_compose_sequential_rejects_mismatched_locals():
-    class OtherLocals(Locals):
-        __slots__ = ()
-
-    f1 = compose_single_loop(tag("A"), tag("B"), empty_block, lambda z: False,
-                             locals_type=CounterLocals)
-    f2 = compose_single_loop(empty_block, tag("C"), tag("D"), lambda z: False,
-                             locals_type=OtherLocals)
-    with pytest.raises(FsmError):
-        compose_sequential(f1, f2)
+    assert ticks == 1 + 2 + 1 + 1  # INIT, BODY x2, MID, DONE
 
 
 def nested_machine():
@@ -272,16 +256,15 @@ def nested_machine():
         z.outer_runs += 1
         return z
 
-    inner = compose_single_loop(
-        inner_pre, tag("IBODY"), tag("IPOST"),
-        loop_condition=lambda z: z.body_runs < z.body_budget,
-        labels=("IPRE", "IBODY", "IPOST"),
-    )
-    return compose_nested(
-        outer_pre, inner, tag("POST"),
-        outer_condition=lambda z: z.outer_runs < z.outer_budget,
-        labels=("PRE", "POST"),
-    )
+    return compile_program((
+        Block(outer_pre, "PRE"),
+        While(lambda z: z.outer_runs < z.outer_budget, (
+            Block(inner_pre, "IPRE"),
+            While(lambda z: z.body_runs < z.body_budget, (Block(tag("IBODY"), "IBODY"),)),
+            Block(tag("IPOST"), "IPOST"),
+        )),
+        Block(tag("POST"), "POST"),
+    )).fsm
 
 
 def test_compose_nested_constant_false_outer_condition():
@@ -305,8 +288,10 @@ def test_compose_nested_topology():
     assert machine.loop_states == frozenset({2, 3, 4})
     assert (4, 2) in machine.edges and (1, 5) in machine.edges
     assert (2, 4) in machine.edges  # generic inner-skip edge
-    with pytest.raises(FsmError):
-        compose_nested(tag("A"), machine, tag("B"), lambda z: False)
+    with pytest.raises(FsmError, match="at least one block"):  # empty inner loop
+        compile_program((Block(tag("A"), "A"),
+                         While(lambda z: False, (While(lambda z: False, ()),)),
+                         Block(tag("B"), "B")))
 
 
 def test_fsm_validation_catches_bad_structures():
@@ -361,10 +346,13 @@ def test_machine_trace_equals_monolithic_trace_on_random_programs():
         def outer_cond(z):
             return z.outer_runs < z.outer_budget
 
-        inner = compose_single_loop(inner_pre, inner_body, inner_post, inner_cond,
-                                    labels=("IPRE", "IBODY", "IPOST"))
-        machine = compose_nested(outer_pre, inner, post, outer_cond,
-                                 labels=("PRE", "POST"))
+        machine = compile_program((
+            Block(outer_pre, "PRE"),
+            While(outer_cond, (Block(inner_pre, "IPRE"),
+                               While(inner_cond, (Block(inner_body, "IBODY"),)),
+                               Block(inner_post, "IPOST"))),
+            Block(post, "POST"),
+        )).fsm
 
         z_mono = CounterLocals(body_budget=body_budget, outer_budget=outer_budget)
         z_mono = outer_pre(z_mono)
@@ -441,9 +429,9 @@ def _single_loop_program():
             body(z)
         post(z)
 
-    machine = compose_single_loop(pre, body, post, _inner_continues,
-                                  labels=("PRE", "BODY", "POST"))
-    return machine, program, st.tuples(_TRIPS).map(list)
+    tree = (Block(pre, "PRE"), While(_inner_continues, (Block(body, "BODY"),)),
+            Block(post, "POST"))
+    return tree, program, st.tuples(_TRIPS).map(list)
 
 
 def _sequential_program():
@@ -460,12 +448,10 @@ def _sequential_program():
             shrink(z)
         post(z)
 
-    machine = compose_sequential(
-        compose_single_loop(pre, expand, mid, _inner_continues,
-                            labels=("PRE", "EXPAND", "MID")),
-        compose_single_loop(empty_block, shrink, post, _inner_continues,
-                            labels=("", "SHRINK", "POST")))
-    return machine, program, st.tuples(_TRIPS, _TRIPS).map(list)
+    tree = (Block(pre, "PRE"), While(_inner_continues, (Block(expand, "EXPAND"),)),
+            Block(mid, "MID"), While(_inner_continues, (Block(shrink, "SHRINK"),)),
+            Block(post, "POST"))
+    return tree, program, st.tuples(_TRIPS, _TRIPS).map(list)
 
 
 def _nested_program():
@@ -482,16 +468,41 @@ def _nested_program():
             ipost(z)
         post(z)
 
-    inner = compose_single_loop(ipre, ibody, ipost, _inner_continues,
-                                labels=("IPRE", "IBODY", "IPOST"))
-    machine = compose_nested(pre, inner, post, _outer_continues, labels=("PRE", "POST"))
+    tree = (Block(pre, "PRE"),
+            While(_outer_continues, (Block(ipre, "IPRE"),
+                                     While(_inner_continues, (Block(ibody, "IBODY"),)),
+                                     Block(ipost, "IPOST"))),
+            Block(post, "POST"))
     # one outer trip count, then one inner trip count per outer iteration
     sample = st.lists(_TRIPS, max_size=4).map(lambda inner: [len(inner), *inner])
-    return machine, program, sample
+    return tree, program, sample
+
+
+def _split_body_program():
+    # drmh-split's shape: a loop body of several blocks, the condition
+    # tested only after the last of them
+    pre, post = _block("PRE", _read_trips), _block("POST")
+    draw, evaluate, test, apply = (_block("DRAW", _count_down), _block("EVAL"),
+                                   _block("TEST"), _block("APPLY"))
+
+    def program(z):
+        pre(z)
+        while _inner_continues(z):
+            draw(z)
+            evaluate(z)
+            test(z)
+            apply(z)
+        post(z)
+
+    tree = (Block(pre, "PRE"),
+            While(_inner_continues, (Block(draw, "DRAW"), Block(evaluate, "EVAL"),
+                                     Block(test, "TEST"), Block(apply, "APPLY"))),
+            Block(post, "POST"))
+    return tree, program, st.tuples(_TRIPS).map(list)
 
 
 _PROGRAMS = {"single": _single_loop_program, "sequential": _sequential_program,
-             "nested": _nested_program}
+             "nested": _nested_program, "split-body": _split_body_program}
 
 
 def _executors(machine):
@@ -510,10 +521,14 @@ def _executors(machine):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(data=st.data())
 def test_compositions_run_their_while_loop_programs(shape, data):
-    # per-sample trip counts drawn at random: the machine, stepped by
-    # fsm.step or fsm.bundled_step, runs the program's blocks in the
-    # program's order and flags each sample at the program's DONE block
-    machine, program, one_sample = _PROGRAMS[shape]()
+    # per-sample trip counts drawn at random: the compiled machine, stepped
+    # by fsm.step or fsm.bundled_step, runs the program's blocks in the
+    # program's order and flags each sample at the program's DONE block;
+    # the compiled interpreter runs the same blocks and counts each loop
+    # state's executions in the sample
+    tree, program, one_sample = _PROGRAMS[shape]()
+    compiled = compile_program(tree)
+    machine = compiled.fsm
     samples = data.draw(st.lists(one_sample, min_size=1, max_size=5), label="samples")
     script = [trips for sample in samples for trips in sample]
     ref = ScriptLocals(script)
@@ -521,6 +536,13 @@ def test_compositions_run_their_while_loop_programs(shape, data):
     for _ in samples:
         program(ref)
         ends.append(len(ref.trace))
+
+    interpreted = ScriptLocals(script)
+    for start, end in zip([0, *ends], ends):
+        counts = compiled.monolithic(interpreted)
+        assert interpreted.trace == ref.trace[:end]
+        assert counts == {s: ref.trace[start:end].count(machine.labels[s - 1])
+                          for s in machine.loop_states}
 
     order = data.draw(st.sampled_from(_executors(machine)), label="order")
     z = ScriptLocals(script)
@@ -539,11 +561,36 @@ def test_compositions_run_their_while_loop_programs(shape, data):
     assert z.trace[:ends[-1]] == ref.trace
 
 
-def test_topology_export_json_and_graphviz():
+def _b(label):
+    return Block(tag(label), label)
+
+
+@pytest.mark.parametrize("program, message", [
+    ((While(lambda z: False, (_b("A"),)), _b("B")), "starts with a block"),
+    ((), "starts with a block"),
+    ((_b("A"), While(lambda z: False, (_b("B"),))), "ends with a block outside"),
+    ((_b("A"), While(lambda z: False, ()), _b("B")), "at least one block"),
+], ids=["starts-with-a-loop", "empty", "ends-in-a-loop", "empty-loop-body"])
+def test_compile_program_rejects_malformed_programs(program, message):
+    with pytest.raises(FsmError, match=message):
+        compile_program(program)
+
+
+def test_compile_program_reads_shared_sites_from_block_marks():
+    def refresh(z):
+        z.shared_calls += 1
+
+    program = (Block(tag("A"), "A", shared=True),
+               While(lambda z: False, (Block(tag("B"), "B", shared=True),)),
+               _b("C"))
+    assert compile_program(program, refresh).fsm.shared.sites == {1: 1, 2: 1}
+    with pytest.raises(FsmError, match="no shared computation"):
+        compile_program(program)
+
+
+def test_topology_export_json():
     machine, _ = single_loop(0)
     doc = topology_as_dict(machine)
     json.dumps(doc)  # serializable
     assert doc["initial"] == 1 and doc["final"] == 3
     assert [2, 2] in doc["edges"]
-    dot = topology_as_graphviz(machine)
-    assert dot.startswith("digraph") and "s2 -> s2;" in dot and "INIT" in dot

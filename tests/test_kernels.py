@@ -61,6 +61,63 @@ def all_forms_agree(bundle, target, m=4, n=40, seed=11):
     return ref, ref_ledger, ledgers
 
 
+# the benchmark's nuts-narrow configuration at n=100
+NUTS_NARROW = RunConfig(kernel="nuts", target="gaussian-corr", dim=2, target_rho=0.99,
+                        nuts_step_size=0.16, nuts_max_depth=8, chains=4, samples=100,
+                        init_jitter=1.0)
+NUTS_DIGESTS = [
+    (0, "02dcba3d1f1d512955d4b59497da7124dcc88a7b3e62a744c0c9b19b0e7d4a07"),
+    (1, "30adf5469db41b892b5949819ceda2b30237298fbf80da12e6d5cde33ce0cb28"),
+]
+
+
+def run_digest(cfg: RunConfig) -> str:
+    """SHA-256 of both regimes' runs at seeds 0 and 1: the samples (equal in
+    both), each ledger's per-loop-state and per-block execution counts, and
+    the state machine's sample ticks and tick count."""
+    bundle, t = build_kernel(cfg), build_target(cfg)
+    h = hashlib.sha256()
+    for seed in (0, 1):
+        def batch():
+            return init_batch(bundle, t, cfg.chains, seed, init_jitter=cfg.init_jitter)
+        ref, barrier = run_standard_batched(bundle, t, batch(), cfg.samples)
+        got, machine = run_fsm_batched(bundle, t, batch(), cfg.samples,
+                                       step_variant=cfg.variant)
+        assert np.array_equal(ref, got)
+        h.update(ref.tobytes())
+        for ledger in (barrier, machine):
+            for s, counts in sorted(ledger.loop_exec_counts.items()):
+                h.update(s.to_bytes(1, "little") + counts.tobytes())
+            h.update(ledger.block_exec_counts.tobytes())
+        h.update(machine.sample_ticks.tobytes() + machine.tick_count.to_bytes(8, "little"))
+    return h.hexdigest()
+
+
+# recorded on the hand-written kernels that preceded the program compiler
+GOLDEN_RUNS = {
+    "drmh": (RunConfig(kernel="drmh", variant="bundled", chains=8, samples=60,
+                       drmh_proposal_scale=0.5, init_jitter=1.0),
+             "3d45030868ed314358a0c3ffd62ec88bbd5fec773cbbe1268830232425c16fbc"),
+    "drmh-split": (RunConfig(kernel="drmh", drmh_split_body=True, chains=8, samples=60,
+                             drmh_proposal_scale=0.5, init_jitter=1.0),
+                   "91e7aa2664a9438290b73fb81d7f3896c25031915eca82a89e5a8ba401f7a74e"),
+    "slice": (RunConfig(kernel="slice", target="mog", slice_width=0.5, chains=8,
+                        samples=60, init_jitter=1.0),
+              "4ce83ce82bfdbefd939a3923907aaf5d4b668e1978f0df6fe387ae6f6993da01"),
+    "elliptical": (RunConfig(kernel="elliptical", target="gp-synthetic",
+                             variant="amortized", chains=4, samples=30),
+                   "de2ed6ba747fe2c73e71458f5753323f232c850455603564befad788fb7446e6"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_runs_equal_the_recorded_digest(name):
+    # both regimes run from one program tree, so their equality cannot catch
+    # a compiler change that moves both alike; these digests can
+    cfg, digest = GOLDEN_RUNS[name]
+    assert run_digest(cfg) == digest
+
+
 class TestDrmh:
     def test_all_forms_bit_identical(self):
         bundle = drmh_kernel(100, 0.1)
@@ -428,22 +485,41 @@ class TestNuts:
         assert integrate >= 50 * m
         assert calls[0] == m + integrate
 
-    @pytest.mark.parametrize("seed, digest", [
-        (0, "02dcba3d1f1d512955d4b59497da7124dcc88a7b3e62a744c0c9b19b0e7d4a07"),
-        (1, "30adf5469db41b892b5949819ceda2b30237298fbf80da12e6d5cde33ce0cb28"),
-    ])
+    @pytest.mark.parametrize("seed, digest", NUTS_DIGESTS)
     def test_samples_equal_the_recorded_digest(self, seed, digest):
-        # the benchmark's nuts-narrow configuration at n=100; the digests pin
-        # the samples of the kernel that re-evaluated the target at INIT
-        cfg = RunConfig(kernel="nuts", target="gaussian-corr", dim=2, target_rho=0.99,
-                        nuts_step_size=0.16, nuts_max_depth=8, chains=4, samples=100,
-                        init_jitter=1.0)
-        bundle, t = build_kernel(cfg), build_target(cfg)
+        # the digests pin the samples of the kernel that re-evaluated the
+        # target at INIT
+        bundle, t = build_kernel(NUTS_NARROW), build_target(NUTS_NARROW)
         for run in (run_standard_batched, run_fsm_batched):
-            batch = init_batch(bundle, t, cfg.chains, seed, init_jitter=cfg.init_jitter)
-            samples, _ = run(bundle, t, batch, cfg.samples)
+            batch = init_batch(bundle, t, NUTS_NARROW.chains, seed,
+                               init_jitter=NUTS_NARROW.init_jitter)
+            samples, _ = run(bundle, t, batch, NUTS_NARROW.samples)
             assert samples.shape == (100, 4, 2)
             assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("seed, digest", NUTS_DIGESTS)
+    def test_hand_written_while_loops_equal_the_recorded_digest(self, seed, digest):
+        # an oracle that does not go through the program compiler: NUTS's
+        # two nested while loops written out over the blocks and conditions
+        # of the kernel's program
+        bundle, t = build_kernel(NUTS_NARROW), build_target(NUTS_NARROW)
+        init, outer, done = bundle.program
+        double, inner, check = outer.body
+        (integrate,) = inner.body
+        batch = init_batch(bundle, t, NUTS_NARROW.chains, seed,
+                           init_jitter=NUTS_NARROW.init_jitter)
+        samples = np.empty((NUTS_NARROW.samples, NUTS_NARROW.chains, 2))
+        for i in range(NUTS_NARROW.samples):
+            for j, z in enumerate(batch.locals):
+                init.fn(z)
+                while outer.cond(z):
+                    double.fn(z)
+                    while inner.cond(z):
+                        integrate.fn(z)
+                    check.fn(z)
+                done.fn(z)
+                samples[i, j] = z.x
+        assert hashlib.sha256(samples.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("regime", [run_standard_batched, run_fsm_batched])
     @pytest.mark.parametrize("lp, grad, message", [

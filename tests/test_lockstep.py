@@ -7,10 +7,11 @@ import pytest
 
 from fsm_mcmc import analysis, lockstep, prng
 from fsm_mcmc.fsm import (
+    Block,
     FsmError,
     Locals,
+    While,
     bundled_step,
-    compose_single_loop,
     default_bundled_order,
     step,
     validate_bundled_order,
@@ -58,21 +59,11 @@ def scripted_kernel():
         z.x = np.array([float(z.pos)])
         return z
 
-    machine = compose_single_loop(_init, _body, _done,
-                                  loop_condition=lambda z: z.remaining > 0,
-                                  locals_type=ScriptedLocals)
-
-    def monolithic(z):
-        raise NotImplementedError  # the scripted kernel only runs as a machine
-
-    return KernelBundle(
-        name="scripted",
-        fsm=machine,
-        monolithic=monolithic,
-        init_locals=lambda x0, rng, target: ScriptedLocals([]),
-        iter_states=(2,),
-        default_costs=CostParams.for_fsm(machine),
-    )
+    program = (Block(_init, "INIT"),
+               While(lambda z: z.remaining > 0, (Block(_body, "BODY"),)),
+               Block(_done, "DONE"))
+    return KernelBundle.from_program(
+        "scripted", program, lambda x0, rng, target: ScriptedLocals([]))
 
 
 def scripted_batch(schedules):

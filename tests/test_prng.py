@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -126,9 +128,30 @@ def _uniform_definition(seed, stream, counter):
 
 
 def _normal_definition(seed, stream, counter):
-    # the inverse CDF at the open-interval uniform (bits53 + 0.5) * 2^-53
+    # the inverse CDF at (bits53 + 0.5) * 2^-53, clamped below 1
     b53 = _chained_bits(seed, stream, counter) >> 11
-    return float(ndtri((b53 + 0.5) * 2.0**-53))
+    return float(ndtri(min((b53 + 0.5) * 2.0**-53, 1.0 - 2.0**-53)))
+
+
+# a counter whose 53 top bits are all ones under key(0, 0, .), found by
+# inverting _mix64: there (2^53 - 1) + 0.5 rounds to 2^53, so p would be 1.0
+_ALL_ONES_COUNTER = 11880369234240959800
+
+
+def test_normal_is_finite_where_the_unclamped_p_is_one():
+    assert _chained_bits(0, 0, _ALL_ONES_COUNTER) >> 11 == 2**53 - 1
+    b53 = float(2**53 - 1)
+    assert (b53 + 0.5) * 2.0**-53 == 1.0
+    expect = float(ndtri(1.0 - 2.0**-53))
+    assert math.isfinite(expect) and expect > 8.0
+    assert _normal_definition(0, 0, _ALL_ONES_COUNTER) == expect
+    z, _ = prng.normal_vec(prng.key(0, 0, _ALL_ONES_COUNTER), 1)
+    assert list(z) == [expect]
+    # the same draw in the middle of a vector, read from its window
+    z, _ = prng.normal_vec(prng.key(0, 0, _ALL_ONES_COUNTER - 3), 5)
+    assert list(z) == [_normal_definition(0, 0, _ALL_ONES_COUNTER - 3 + j)
+                       for j in range(5)]
+    assert z[3] == expect and np.all(np.isfinite(z))
 
 
 _EDGES = (0, 1, 2**63, 2**64 - 1)
