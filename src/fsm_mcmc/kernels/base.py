@@ -56,7 +56,6 @@ class KernelBundle:
                      init_locals: Callable[[np.ndarray, Any, TargetModel], Any], *,
                      shared: Callable[[Any], None] | None = None,
                      block_costs: tuple[float, ...] | None = None,
-                     shared_cost: float = 1.0,
                      requires: Callable[[TargetModel], list[str]] | None = None,
                      ) -> "KernelBundle":
         """The kernel compiled from its program; block costs default to one unit."""
@@ -68,8 +67,7 @@ class KernelBundle:
             monolithic=monolithic,
             init_locals=init_locals,
             iter_states=iter_states,
-            default_costs=CostParams.for_fsm(machine, block_costs=block_costs,
-                                             shared_cost=shared_cost),
+            default_costs=CostParams.for_fsm(machine, block_costs=block_costs),
             requires=requires,
         )
 

@@ -109,4 +109,4 @@ def elliptical_kernel() -> KernelBundle:
 
     return KernelBundle.from_program(
         "elliptical", program, init_locals, shared=_refresh_residual,
-        block_costs=(0.02, 0.02, 0.01), shared_cost=1.0, requires=requires)
+        block_costs=(0.02, 0.02, 0.01), requires=requires)
