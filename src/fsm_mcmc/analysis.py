@@ -3,8 +3,6 @@
 The quantities here are all about the inner-loop iteration counts N_ij
 (chain j's work for its i-th sample):
 
-* ``barrier_cost`` - the idealized total with a per-iteration barrier,
-  where every iteration pays the slowest chain: sum_i max_j N_ij.
 * ``efficiency_model`` - E(m), the modeled long-run cost ratio of the
   barrier regime over the state-machine regime given block costs and the
   dispatch factor alpha.
@@ -39,7 +37,6 @@ import numpy as np
 from .lockstep import CostParams
 
 __all__ = [
-    "barrier_cost",
     "efficiency_model",
     "efficiency_report",
     "EfficiencyReport",
@@ -52,13 +49,11 @@ __all__ = [
     "ConcentrationReport",
     "effective_sample_size",
     "EssSummary",
+    "MIN_ESS_SAMPLES",
 ]
 
-
-def barrier_cost(iter_counts: np.ndarray) -> float:
-    """Total loop iterations paid with a per-iteration barrier: sum_i max_j N_ij."""
-    N = np.asarray(iter_counts)
-    return float(N.max(axis=1).sum())
+# the shortest chains effective_sample_size accepts
+MIN_ESS_SAMPLES = 10
 
 
 def _loop_index(params: CostParams, loop_state: int | None) -> int:
@@ -325,8 +320,6 @@ def concentration_check(iter_count_runs: list[np.ndarray], n_grid,
 class EssSummary:
     per_dimension: tuple[float, ...]
     pooled: float           # min across dimensions
-    per_cost: float | None
-    per_second: float | None
     flagged: bool           # capped/floored somewhere
 
 
@@ -383,13 +376,11 @@ def _ess_one_dim(draws: np.ndarray) -> tuple[float, bool]:
     return float(ess), flagged
 
 
-def effective_sample_size(chains: np.ndarray, model_cost: float | None = None,
-                          walltime: float | None = None) -> EssSummary:
+def effective_sample_size(chains: np.ndarray) -> EssSummary:
     """Autocorrelation-adjusted sample count of an (n, m, d) array.
 
     Per-dimension ESS combines all m chains; the pooled figure is the
-    minimum across dimensions.  ``model_cost`` and ``walltime`` convert it
-    into the two rate variants.
+    minimum across dimensions.  Needs n >= ``MIN_ESS_SAMPLES``.
     """
     arr = np.asarray(chains, dtype=float)
     if arr.ndim == 2:
@@ -397,8 +388,8 @@ def effective_sample_size(chains: np.ndarray, model_cost: float | None = None,
     if arr.ndim != 3:
         raise ValueError(f"expected an (n, m, d) array, got shape {arr.shape}")
     n, m, d = arr.shape
-    if n < 10:
-        raise ValueError(f"need at least 10 samples per chain, got {n}")
+    if n < MIN_ESS_SAMPLES:
+        raise ValueError(f"need at least {MIN_ESS_SAMPLES} samples per chain, got {n}")
     per_dim = []
     flagged = False
     for dd in range(d):
@@ -409,7 +400,5 @@ def effective_sample_size(chains: np.ndarray, model_cost: float | None = None,
     return EssSummary(
         per_dimension=tuple(per_dim),
         pooled=pooled,
-        per_cost=pooled / model_cost if model_cost else None,
-        per_second=pooled / walltime if walltime else None,
         flagged=flagged,
     )

@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analysis
+from .fsm import topology_as_dict
 from .kernels import (
     KERNEL_BUILDERS,
     KernelError,
@@ -112,8 +113,9 @@ class RunConfig:
                   if getattr(self, name) not in choices]
         if self.chains < 1:
             errors.append(f"chains must be >= 1, got {self.chains}")
-        if self.samples < 1:
-            errors.append(f"samples must be >= 1, got {self.samples}")
+        if self.samples < analysis.MIN_ESS_SAMPLES:
+            errors.append(f"samples must be >= {analysis.MIN_ESS_SAMPLES} for the ESS, "
+                          f"got {self.samples}")
         if not self.seeds:
             errors.append("need at least one seed")
         if self.tick_budget is not None and self.tick_budget < 1:
@@ -314,6 +316,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
             "config": asdict(config),
             "config_hash": chash,
             "rows": len(result.rows),
+            "machine": topology_as_dict(bundle.fsm),
         }
         (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return result
@@ -496,14 +499,18 @@ def main(argv=None) -> int:
     errors = config.validate()
     if (args.sweep_axis is None) != (args.sweep_values is None):
         errors.append("--sweep-axis and --sweep-values must be given together")
+    if args.sweep_axis:
+        try:
+            values = [float(v) if "." in v else int(v)
+                      for v in str(args.sweep_values).split(",") if v.strip()]
+        except ValueError as exc:
+            errors.append(f"--sweep-values: {exc}")
     if errors:
         print(json.dumps({"errors": errors}), file=sys.stderr)
         return 2
     t0 = time.perf_counter()
     try:
         if args.sweep_axis:
-            values = [float(v) if "." in v else int(v)
-                      for v in str(args.sweep_values).split(",") if v.strip()]
             rows = sweep(config, args.sweep_axis, values)
             print(f"wrote {len(rows)} sweep rows to {config.out} "
                   f"in {time.perf_counter() - t0:.1f}s")

@@ -24,13 +24,14 @@ They are the single-call reference executors: the batched driver
 and tests compare it against them.
 
 Kernels that share an expensive computation (e.g. a log-density needed both
-to set a threshold and to test it) never call it inside a block.  Instead a
-block sets ``locals.needs_shared`` and the executor evaluates the shared
-function *between the block and the transition*, so the loop predicate always
-sees a fresh value.  Under the batched cost model this is what makes the
-shared work chargeable once per tick instead of once per call site: the
-``amortized`` step variant runs :func:`step` and differs from ``plain`` only
-in that charge (``CostParams.tick_cost``).
+to set a threshold and to test it) never call it inside a block.  Instead the
+program marks the blocks that need it (``Block(..., shared=True)``), and every
+executor evaluates the shared function after each run of a marked block,
+*between the block and the transition*, so the loop predicate always sees a
+fresh value (:attr:`FsmDefinition.steps`).  Under the batched cost model this
+is what makes the shared work chargeable once per tick instead of once per
+call site: the ``amortized`` step variant runs :func:`step` and differs from
+``plain`` only in that charge (``CostParams.tick_cost``).
 
 Conventions every shipped kernel follows:
 
@@ -44,6 +45,7 @@ Conventions every shipped kernel follows:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, NamedTuple
 
 __all__ = [
@@ -81,19 +83,17 @@ class BlockFailure(RuntimeError):
 class Locals:
     """Base class for the per-chain record threaded through blocks.
 
-    Subclasses add kernel-specific fields.  ``x`` is the current sample,
-    ``rng`` the chain's stream position, and ``needs_shared`` the request
-    flag for the kernel's shared computation (if any).  Blocks keep no loop
-    counters: the drivers and the program interpreter count block
-    executions.
+    Subclasses add kernel-specific fields.  ``x`` is the current sample and
+    ``rng`` the chain's stream position.  Blocks are procedures that change
+    this record in place and return nothing.  They keep no loop counters:
+    the drivers and the program interpreter count block executions.
     """
 
-    __slots__ = ("x", "rng", "needs_shared")
+    __slots__ = ("x", "rng")
 
     def __init__(self, x, rng):
         self.x = x
         self.rng = rng
-        self.needs_shared = False
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,7 @@ class SharedComputation:
     ``fn`` reads the locals and writes its result into a cache field on the
     locals; ``sites`` maps state index -> number of call sites that block
     would contain if the computation were inlined (used by the cost model).
+    Executors run ``fn`` once after every execution of a state in ``sites``.
     """
 
     fn: Callable[[Any], None]
@@ -119,7 +120,7 @@ class FsmDefinition:
     theirs from :func:`compile_program`.
     """
 
-    blocks: tuple[Callable[[Any], Any], ...]
+    blocks: tuple[Callable[[Any], None], ...]
     transition: Callable[[int, Any], int]
     labels: tuple[str, ...]
     edges: frozenset[tuple[int, int]]
@@ -160,6 +161,27 @@ class FsmDefinition:
             missing = sorted(set(range(1, K + 1)) - seen)
             raise FsmError(f"states {missing} unreachable from the initial state")
 
+    @cached_property
+    def steps(self) -> tuple[Callable[[Any], None], ...]:
+        """What an executor runs for state k, at ``steps[k-1]``: the block,
+        followed by the shared refresh when k is a shared site.
+
+        Read from this machine's own fields, so a copy made with
+        ``dataclasses.replace`` runs its own blocks and shared function.
+        """
+        if self.shared is None:
+            return self.blocks
+        sites, refresh = self.shared.sites, self.shared.fn
+
+        def refreshed(block):
+            def run(z):
+                block(z)
+                refresh(z)
+            return run
+
+        return tuple(refreshed(b) if k in sites else b
+                     for k, b in enumerate(self.blocks, start=1))
+
     @property
     def n_states(self) -> int:
         return len(self.blocks)
@@ -177,22 +199,13 @@ class StepOutcome(NamedTuple):
     """Result of one executor call on one chain."""
 
     state: int
-    locals: Any
     is_sample: bool
-    do_computation: bool
     executed: tuple[int, ...]
 
 
-def _run_shared(fsm: FsmDefinition, z) -> bool:
-    if fsm.shared is not None and z.needs_shared:
-        fsm.shared.fn(z)
-        z.needs_shared = False
-        return True
-    return False
-
-
 def step(fsm: FsmDefinition, k: int, z) -> StepOutcome:
-    """Run state k's block, refresh the shared cache if requested, transition.
+    """Run state k's block on ``z``, refresh the shared cache if k is a shared
+    site, and transition.
 
     The sample flag is computed from the *entry* state, before the block
     runs; the final block therefore finishes its sample in the same call
@@ -201,10 +214,8 @@ def step(fsm: FsmDefinition, k: int, z) -> StepOutcome:
     if not 1 <= k <= fsm.n_states:
         raise FsmError(f"state {k} outside 1..{fsm.n_states}")
     is_sample = k == fsm.n_states
-    z = fsm.blocks[k - 1](z)
-    did = _run_shared(fsm, z)
-    k_next = fsm.transition(k, z)
-    return StepOutcome(k_next, z, is_sample, did, (k,))
+    fsm.steps[k - 1](z)
+    return StepOutcome(fsm.transition(k, z), is_sample, (k,))
 
 
 def default_bundled_order(fsm: FsmDefinition) -> tuple[int, ...]:
@@ -250,30 +261,29 @@ def bundled_step(fsm: FsmDefinition, k: int, z, order: tuple[int, ...] | None = 
     if order is None:
         order = default_bundled_order(fsm)
     is_sample = k == fsm.n_states
+    steps = fsm.steps
     executed = []
-    did = False
     for s in order:
         if k == s:
-            z = fsm.blocks[s - 1](z)
-            did = _run_shared(fsm, z) or did
+            steps[s - 1](z)
             k = fsm.transition(s, z)
             executed.append(s)
-    return StepOutcome(k, z, is_sample, did, tuple(executed))
+    return StepOutcome(k, is_sample, tuple(executed))
 
 
 def empty_block(z):
     """The no-op block, for a state that only separates two loops."""
-    return z
 
 
 class Block(NamedTuple):
     """A while-loop-free block of a kernel program; one machine state.
 
-    ``shared`` marks a block that requests the kernel's shared computation
-    (one call site in the cost model).
+    ``fn(z)`` changes the chain's locals in place and returns nothing.
+    ``shared`` marks a block after every run of which the executors refresh
+    the kernel's shared computation (one call site in the cost model).
     """
 
-    fn: Callable[[Any], Any]
+    fn: Callable[[Any], None]
     label: str
     shared: bool = False
 
@@ -306,7 +316,7 @@ def compile_program(program: tuple, shared: Callable[[Any], None] | None = None
     ``iter_states`` is the first block of each innermost loop body.
 
     ``monolithic(z)`` runs the same blocks as while loops on ``z`` in place,
-    refreshing the shared cache after a block that requests it, as the
+    refreshing the shared cache after every run of a marked block, as the
     executors do, and returns each loop state's executions.
     """
     blocks: list[Block] = []
@@ -384,16 +394,17 @@ def compile_program(program: tuple, shared: Callable[[Any], None] | None = None
         loop_states=frozenset(loop_states),
         shared=SharedComputation(shared, sites) if shared is not None else None,
     )
-    monolithic = _interpreter(tree, machine.blocks, shared, sorted(loop_states))
+    monolithic = _interpreter(tree, machine.steps, sorted(loop_states))
     return CompiledProgram(machine, monolithic, tuple(iter_states))
 
 
-def _interpreter(tree: tuple, fns: tuple, shared, loop_states: list[int]):
+def _interpreter(tree: tuple, fns: tuple, loop_states: list[int]):
     """Compile a numbered program tree into ``monolithic(z) -> {loop state: executions}``.
 
-    A sequence becomes a tuple of steps: a block's own function, or a loop
-    closure that takes the counts too.  A loop counts its iterations once
-    and credits them to each block directly in its body.
+    ``fns[k-1]`` is what state k runs (:attr:`FsmDefinition.steps`).  A
+    sequence becomes a tuple of steps: a state's function, or a loop closure
+    that takes the counts too.  A loop counts its iterations once and
+    credits them to each block directly in its body.
     """
 
     def run(steps: tuple, z, counts: dict) -> None:
@@ -402,9 +413,6 @@ def _interpreter(tree: tuple, fns: tuple, shared, loop_states: list[int]):
                 fn(z, counts)
             else:
                 fn(z)
-                if shared is not None and z.needs_shared:
-                    shared(z)
-                    z.needs_shared = False
 
     def compile_seq(nodes: tuple) -> tuple:
         return tuple((fns[node - 1], False) if type(node) is int
@@ -413,11 +421,11 @@ def _interpreter(tree: tuple, fns: tuple, shared, loop_states: list[int]):
     def compile_loop(node: While):
         cond, body = node.cond, compile_seq(node.body)
         states = tuple(s for s in node.body if type(s) is int)
-        if len(body) == 1 and shared is None and states:
-            # one block and nothing to refresh (drmh, slice, NUTS's inner
-            # loop): call it straight from the while loop.  Through `run`,
-            # drmh-wide's barrier_samples_per_s fell 3.0% (10 alternating
-            # pairs, 1 won); nuts-narrow's moved within noise.
+        if len(body) == 1 and states:
+            # a one-block body (drmh, slice, elliptical's SHRINK, NUTS's
+            # inner loop): call it straight from the while loop.  Through
+            # `run`, drmh-wide's barrier_samples_per_s fell 3.0% (10
+            # alternating pairs, 1 won); nuts-narrow's moved within noise.
             fn, (s,) = body[0][0], states
 
             def loop(z, counts: dict) -> None:

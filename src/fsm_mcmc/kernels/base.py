@@ -28,8 +28,9 @@ class KernelError(ValueError):
 
 
 # A monolithic transition kernel: draws one sample by running the program's
-# while loops on the chain's Locals in place, and returns {loop-state id:
-# number of executions for this sample} for every loop state of the machine.
+# while loops on the chain's Locals in place, with the shared refresh after
+# every run of a marked block, and returns {loop-state id: number of
+# executions for this sample} for every loop state of the machine.
 MonolithicKernel = Callable[[Any], dict[int, int]]
 
 

@@ -69,15 +69,14 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
     M = max_tries
     scale = proposal_scale
 
-    def _init(z: DrmhLocals) -> DrmhLocals:
+    def _init(z: DrmhLocals) -> None:
         z.try_index = 0
         z.accepted = False
         z.lp_best = _NEG_INF
         z.y = z.x
         z.lp_y = z.lp_x
-        return z
 
-    def _propose(z: DrmhLocals) -> DrmhLocals:
+    def _propose(z: DrmhLocals) -> None:
         z.try_index += 1
         eps, z.rng = normal_vec(z.rng, z.x.shape[0])
         y = z.y + scale * eps
@@ -89,41 +88,35 @@ def drmh_kernel(max_tries: int, proposal_scale: float,
             z.lp_best = max(z.lp_best, lp)
         z.y = y
         z.lp_y = lp
-        return z
 
-    def _done(z: DrmhLocals) -> DrmhLocals:
+    def _done(z: DrmhLocals) -> None:
         if z.accepted:
             z.x = z.y
             z.lp_x = z.lp_y
-        return z
 
     def _continue(z: DrmhLocals) -> bool:
         return (not z.accepted) and z.try_index < M
 
     # split-body sub-blocks; same draw order and arithmetic as _propose
-    def _p_draw(z: DrmhLocals) -> DrmhLocals:
+    def _p_draw(z: DrmhLocals) -> None:
         z.try_index += 1
         eps, z.rng = normal_vec(z.rng, z.x.shape[0])
         z.y_cand = z.y + scale * eps
-        return z
 
-    def _p_eval(z: DrmhLocals) -> DrmhLocals:
+    def _p_eval(z: DrmhLocals) -> None:
         z.lp_cand = check_log_density(z.target.log_density(z.y_cand), "PROP-EVAL")
-        return z
 
-    def _p_test(z: DrmhLocals) -> DrmhLocals:
+    def _p_test(z: DrmhLocals) -> None:
         u, z.rng = uniform(z.rng)
         z.accept_cand = _accept_stage(z, z.lp_cand, u)
-        return z
 
-    def _p_apply(z: DrmhLocals) -> DrmhLocals:
+    def _p_apply(z: DrmhLocals) -> None:
         if z.accept_cand:
             z.accepted = True
         else:
             z.lp_best = max(z.lp_best, z.lp_cand)
         z.y = z.y_cand
         z.lp_y = z.lp_cand
-        return z
 
     if split_body:
         program = (

@@ -6,10 +6,11 @@ toward 0 until the proposal's residual log-density clears the threshold
 (shrink runs while log f(x') < log y).  Single loop, three states
 INIT / SHRINK / DONE.
 
-The residual log-density is the kernel's shared computation: blocks request
-it through the shared-cache protocol instead of calling it inline, so one
-batched tick can be charged a single evaluation even though both INIT and
-SHRINK need the value.  log f at the accepted point is carried over to the
+The residual log-density at the proposal is the kernel's shared
+computation.  No block calls it: the program marks INIT and SHRINK as its
+sites, and the executors evaluate it after every run of either block, so one
+batched tick can be charged a single evaluation even though both need the
+value.  log f at the accepted point is carried over to the
 next sample's threshold, so each block owns exactly one evaluation site.
 """
 
@@ -56,7 +57,7 @@ def _refresh_residual(z: EllipticalLocals) -> None:
 def elliptical_kernel() -> KernelBundle:
     """Elliptical slice transition kernel (no tuning parameters)."""
 
-    def _init(z: EllipticalLocals) -> EllipticalLocals:
+    def _init(z: EllipticalLocals) -> None:
         d = z.x.shape[0]
         eps, z.rng = normal_vec(z.rng, d)
         z.nu = eps if z.identity_prior else z.chol @ eps
@@ -67,10 +68,8 @@ def elliptical_kernel() -> KernelBundle:
         z.tmin = z.theta - _TWO_PI
         z.tmax = z.theta
         z.xprop = z.x * math.cos(z.theta) + z.nu * math.sin(z.theta)
-        z.needs_shared = True
-        return z
 
-    def _shrink(z: EllipticalLocals) -> EllipticalLocals:
+    def _shrink(z: EllipticalLocals) -> None:
         if z.theta < 0.0:
             z.tmin = z.theta
         else:
@@ -78,13 +77,10 @@ def elliptical_kernel() -> KernelBundle:
         u, z.rng = uniform(z.rng)
         z.theta = z.tmin + u * (z.tmax - z.tmin)
         z.xprop = z.x * math.cos(z.theta) + z.nu * math.sin(z.theta)
-        z.needs_shared = True
-        return z
 
-    def _done(z: EllipticalLocals) -> EllipticalLocals:
+    def _done(z: EllipticalLocals) -> None:
         z.x = z.xprop
         z.lp_fx = z.lp_fprop
-        return z
 
     def _below_threshold(z: EllipticalLocals) -> bool:
         return z.lp_fprop < z.logy

@@ -124,7 +124,7 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         raise KernelError("divergence_threshold must be positive")
     eps = step_size
 
-    def _init(z: NutsLocals) -> NutsLocals:
+    def _init(z: NutsLocals) -> None:
         d = z.x.shape[0]
         p0, z.rng = normal_vec(z.rng, d)
         if z.g_x is None:  # the chain's first sample
@@ -146,12 +146,11 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         z.depth = 0
         z.stopped = False
         z.diverged = False
-        return z
 
     def _outer_continue(z: NutsLocals) -> bool:
         return (not z.stopped) and (not z.diverged) and z.depth < max_depth
 
-    def _double(z: NutsLocals) -> NutsLocals:
+    def _double(z: NutsLocals) -> None:
         u, z.rng = uniform(z.rng)
         z.direction = 1 if u < 0.5 else -1
         if z.direction == 1:
@@ -162,9 +161,8 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         z.steps_done = 0
         z.sub_log_sum_w = _NEG_INF
         z.sub_stop = False
-        return z
 
-    def _integrate(z: NutsLocals) -> NutsLocals:
+    def _integrate(z: NutsLocals) -> None:
         eff = eps * z.direction
         p_half = z.cp + 0.5 * eff * z.cg
         x_new = z.cx + eff * p_half
@@ -203,16 +201,15 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
                         z.sub_stop = True
                         break
         z.steps_done += 1
-        return z
 
     def _inner_continue(z: NutsLocals) -> bool:
         return (z.steps_done < z.steps_todo
                 and not z.sub_stop and not z.diverged)
 
-    def _check(z: NutsLocals) -> NutsLocals:
+    def _check(z: NutsLocals) -> None:
         if z.sub_stop or z.diverged:
             z.stopped = True
-            return z
+            return
         total = _logaddexp(z.log_sum_w, z.sub_log_sum_w)
         u, z.rng = uniform(z.rng)
         if u < math.exp(z.sub_log_sum_w - total):
@@ -226,12 +223,10 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
         if float(span @ z.pl) < 0.0 or float(span @ z.pr) < 0.0:
             z.stopped = True
         z.depth += 1
-        return z
 
-    def _done(z: NutsLocals) -> NutsLocals:
+    def _done(z: NutsLocals) -> None:
         z.x = z.xprop.copy()
         z.lp_x, z.g_x = z.lp_prop, z.g_prop
-        return z
 
     program = (
         Block(_init, "INIT"),

@@ -56,7 +56,7 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
     def _logp(z: SliceLocals, v: float) -> float:
         return check_log_density(z.target.log_density(np.array([v])), "slice")
 
-    def _init_expand(z: SliceLocals) -> SliceLocals:
+    def _init_expand(z: SliceLocals) -> None:
         z.n_expand = 0
         z.accepted = False
         u, z.rng = uniform(z.rng)
@@ -67,9 +67,8 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         z.right = z.left + w
         z.lp_left = _logp(z, z.left)
         z.lp_right = _logp(z, z.right)
-        return z
 
-    def _expand(z: SliceLocals) -> SliceLocals:
+    def _expand(z: SliceLocals) -> None:
         z.n_expand += 1
         if z.lp_left > z.logy:
             z.left -= w
@@ -79,13 +78,12 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
             z.lp_right = _logp(z, z.right)
         if z.n_expand == max_expansions and (z.lp_left > z.logy or z.lp_right > z.logy):
             z.cap_hits += 1
-        return z
 
     def _expand_continue(z: SliceLocals) -> bool:
         return ((z.lp_left > z.logy or z.lp_right > z.logy)
                 and z.n_expand < max_expansions)
 
-    def _shrink(z: SliceLocals) -> SliceLocals:
+    def _shrink(z: SliceLocals) -> None:
         u, z.rng = uniform(z.rng)
         z.x1 = z.left + u * (z.right - z.left)
         z.lp_x1 = _logp(z, z.x1)
@@ -95,15 +93,13 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
             z.left = z.x1
         else:
             z.right = z.x1
-        return z
 
     def _shrink_continue(z: SliceLocals) -> bool:
         return not z.accepted
 
-    def _done(z: SliceLocals) -> SliceLocals:
+    def _done(z: SliceLocals) -> None:
         z.x = np.array([z.x1])
         z.lp_x = z.lp_x1
-        return z
 
     program = (
         Block(_init_expand, "INIT-E"),

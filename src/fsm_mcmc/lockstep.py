@@ -25,7 +25,9 @@ ledger also records natively-executed block counts.  Both regimes therefore
 do the same native work on each chain's one ``Locals`` record: the same
 blocks, target evaluations and random draws per chain (the bundled executor
 may run a few blocks of the next sample in the call that finishes the last
-one).
+one).  Both run each state's ``FsmDefinition.steps`` entry, so the shared
+computation follows every execution of a shared site, and the ledger's
+``native_shared_evals`` is the sum of those states' executions.
 Both drivers are single-threaded and deterministic; samples from the two
 regimes are bit-identical for identical streams.
 """
@@ -363,9 +365,10 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     else:
         order = ()
     # One inlined tick for every variant.  A call runs the entry state's
-    # block, the shared refresh if requested, and the transition, and goes
-    # on while the next state ranks later in the bundled order: that is
-    # fsm.bundled_step, jumping straight to the entry state's position.
+    # step (its block, then the shared refresh at a shared site) and the
+    # transition, and goes on while the next state ranks later in the
+    # bundled order: that is fsm.bundled_step, jumping straight to the
+    # entry state's position.
     # Plain and amortized rank every state equal, so a call runs one block,
     # as fsm.step does.  Inlining the bundled call rather than calling
     # fsm.bundled_step took the drmh state-machine run (m=256, n=100,
@@ -374,9 +377,8 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     rank = [0] * (K + 1)
     for i, s in enumerate(order):
         rank[s] = i
-    blocks = (None, *machine.blocks)
+    steps = (None, *machine.steps)
     transition = machine.transition
-    shared_fn = machine.shared.fn if machine.shared is not None else None
 
     m = batch.m
     final = machine.final
@@ -387,7 +389,6 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
     # per chain, the executions of each state in its unfinished sample
     pending = [[0] * (K + 1) for _ in range(m)]
     executed = [0] * (K + 1)
-    native_shared = 0
     ticks = 0
     counts = batch.sample_counts
     states = batch.state_ids
@@ -398,7 +399,7 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
         if tick_budget is not None and ticks + TICK_CHUNK > tick_budget:
             walltime = time.perf_counter() - t0
             ledger = _fsm_ledger(bundle, params, step_variant, min(counts), loop_execs,
-                                 sample_ticks, ticks, executed, native_shared, walltime)
+                                 sample_ticks, ticks, executed, walltime)
             raise TickBudgetExceeded(tick_budget, ledger, list(counts))
         for _ in range(TICK_CHUNK):
             ticks += 1
@@ -409,11 +410,7 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                 pend = pending[j]
                 try:
                     while True:
-                        z = blocks[s](z)
-                        if shared_fn is not None and z.needs_shared:
-                            shared_fn(z)
-                            z.needs_shared = False
-                            native_shared += 1
+                        steps[s](z)
                         k = transition(s, z)
                         executed[s] += 1
                         pend[s] += 1
@@ -434,26 +431,29 @@ def run_fsm_batched(bundle, target, batch: ChainBatch, n: int,
                 except Exception as exc:  # noqa: BLE001
                     ledger = _fsm_ledger(bundle, params, step_variant, min(counts),
                                          loop_execs, sample_ticks, ticks, executed,
-                                         native_shared, time.perf_counter() - t0)
+                                         time.perf_counter() - t0)
                     raise KernelRunError(chain=j, iteration=counts[j], cause=exc,
                                          ledger=ledger) from exc
                 states[j] = k
-                locs[j] = z
             if retired:
                 active = [j for j in active if counts[j] < n]
     walltime = time.perf_counter() - t0
     ledger = _fsm_ledger(bundle, params, step_variant, n, loop_execs, sample_ticks,
-                         ticks, executed, native_shared, walltime)
+                         ticks, executed, walltime)
     return samples, ledger
 
 
 def _fsm_ledger(bundle, params: CostParams, variant: str, rows: int,
                 loop_execs: dict[int, np.ndarray], sample_ticks: np.ndarray,
-                ticks: int, executed: list[int], native_shared: int,
-                walltime: float) -> CostLedger:
-    """The ledger of the first ``rows`` samples of every chain."""
+                ticks: int, executed: list[int], walltime: float) -> CostLedger:
+    """The ledger of the first ``rows`` samples of every chain.
+
+    The shared computation ran once per execution of a shared site.
+    """
     loop_execs = {s: a[:rows] for s, a in loop_execs.items()}
     tick_cost = params.tick_cost(variant)
+    shared = bundle.fsm.shared
+    native_shared = sum(executed[s] for s in shared.sites) if shared is not None else 0
     return CostLedger(
         iter_counts=sum(loop_execs[s] for s in bundle.iter_states),
         loop_exec_counts=loop_execs,
@@ -487,9 +487,8 @@ def measure_block_costs(bundle, target, seed: int = 0) -> CostParams:
     def timed(fn, slot):
         def run(z):
             t0 = clock()
-            out = fn(z)
+            fn(z)
             seconds[slot] += clock() - t0
-            return out
         return run
 
     shared = machine.shared

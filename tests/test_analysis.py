@@ -166,11 +166,9 @@ class TestEss:
 
     def test_rates_divide_pooled(self):
         rng = np.random.default_rng(7)
-        s = effective_sample_size(rng.normal(size=(500, 2, 2)),
-                                  model_cost=10.0, walltime=2.0)
-        assert s.per_cost == pytest.approx(s.pooled / 10.0)
-        assert s.per_second == pytest.approx(s.pooled / 2.0)
+        s = effective_sample_size(rng.normal(size=(500, 2, 2)))
         assert len(s.per_dimension) == 2
+        assert s.pooled == min(s.per_dimension)
 
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from fsm_mcmc.cli import (
     run_experiment,
     sweep,
 )
+from fsm_mcmc.fsm import topology_as_dict
 from fsm_mcmc.kernels import elliptical_kernel
 
 
@@ -57,6 +58,10 @@ class TestRunExperiment:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["kernel"] == "drmh"
         assert manifest["rows"] == 4
+        # the machine the run ran
+        assert manifest["machine"] == topology_as_dict(cli.build_kernel(config).fsm)
+        assert [s["label"] for s in manifest["machine"]["states"]] == [
+            "INIT", "PROPOSE", "DONE"]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         kwargs = dict(kernel="drmh", chains=2, samples=120, seeds=(3,))
@@ -258,6 +263,9 @@ class TestMain:
          "--sweep-axis", "m", "--sweep-values", "1,2"],
         ["--target", "gaussian-corr", "--target-rho", "1.5"],
         ["--kernel", "elliptical", "--target", "gp-synthetic", "--gp-p", "-1"],
+        # too short for the ESS, which would fail only after both regimes ran
+        ["--kernel", "drmh", "--chains", "4", "--samples", "5"],
+        ["--sweep-axis", "m", "--sweep-values", "2,abc"],
     ])
     def test_builder_errors_are_config_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"
@@ -328,7 +336,7 @@ FIELD_VALUES = {
     "kernel": ("nuts", "nuts"),
     "target": ("mog", "mog"),
     "chains": ("5", 5),
-    "samples": ("7", 7),
+    "samples": ("70", 70),
     "variant": ("bundled", "bundled"),
     "seeds": ("3,4", (3, 4)),
     "out": ("elsewhere", "elsewhere"),

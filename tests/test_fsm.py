@@ -46,7 +46,6 @@ def tag(name):
         z.trace.append(name)
         if name.endswith("BODY"):
             z.body_runs += 1
-        return z
     return block
 
 
@@ -84,7 +83,6 @@ def drive(machine, z, step_fn=step, n_samples=1, start=1):
         if out.is_sample:
             got += 1
         k = out.state
-        z = out.locals
     return ticks, execs, k
 
 
@@ -180,8 +178,6 @@ def test_bundled_collects_every_sample_with_default_order():
 def test_amortized_step_runs_shared_between_block_and_transition():
     def needs(z):
         z.trace.append("BLOCK")
-        z.needs_shared = True
-        return z
 
     def g(z):
         z.shared_calls += 1
@@ -204,12 +200,11 @@ def test_amortized_step_runs_shared_between_block_and_transition():
     z = CounterLocals()
     out = step(machine, 1, z)
     assert z.shared_calls == 1
-    assert out.do_computation
     assert out.state == 2                # saw the fresh cache
-    # no request -> cache untouched
+    # not a shared site -> cache untouched
     z2 = CounterLocals()
-    out2 = step(machine, 2, z2)
-    assert z2.shared_calls == 0 and not out2.do_computation
+    step(machine, 2, z2)
+    assert z2.shared_calls == 0
 
 
 def test_compose_sequential_topology_and_path():
@@ -248,13 +243,11 @@ def nested_machine():
     def outer_pre(z):
         z.trace.append("PRE")
         z.outer_runs = 0
-        return z
 
     def inner_pre(z):
         z.trace.append("IPRE")
         z.body_runs = 0
         z.outer_runs += 1
-        return z
 
     return compile_program((
         Block(outer_pre, "PRE"),
@@ -328,13 +321,11 @@ def test_machine_trace_equals_monolithic_trace_on_random_programs():
         def outer_pre(z):
             z.trace.append("PRE")
             z.outer_runs = 0
-            return z
 
         def inner_pre(z):
             z.trace.append("IPRE")
             z.body_runs = 0
             z.outer_runs += 1
-            return z
 
         inner_body = tag("IBODY")
         inner_post = tag("IPOST")
@@ -355,13 +346,13 @@ def test_machine_trace_equals_monolithic_trace_on_random_programs():
         )).fsm
 
         z_mono = CounterLocals(body_budget=body_budget, outer_budget=outer_budget)
-        z_mono = outer_pre(z_mono)
+        outer_pre(z_mono)
         while outer_cond(z_mono):
-            z_mono = inner_pre(z_mono)
+            inner_pre(z_mono)
             while inner_cond(z_mono):
-                z_mono = inner_body(z_mono)
-            z_mono = inner_post(z_mono)
-        z_mono = post(z_mono)
+                inner_body(z_mono)
+            inner_post(z_mono)
+        post(z_mono)
 
         z_fsm = CounterLocals(body_budget=body_budget, outer_budget=outer_budget)
         drive(machine, z_fsm, n_samples=1)
@@ -388,7 +379,6 @@ def _block(label, action=None):
         z.trace.append(label)
         if action is not None:
             action(z)
-        return z
     return block
 
 

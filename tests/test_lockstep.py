@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fsm_mcmc import analysis, lockstep, prng
+from fsm_mcmc import lockstep, prng
 from fsm_mcmc.fsm import (
     Block,
     FsmError,
@@ -49,15 +49,12 @@ def scripted_kernel():
     def _init(z):
         z.remaining = z.schedule[z.pos % len(z.schedule)]
         z.pos += 1
-        return z
 
     def _body(z):
         z.remaining -= 1
-        return z
 
     def _done(z):
         z.x = np.array([float(z.pos)])
-        return z
 
     program = (Block(_init, "INIT"),
                While(lambda z: z.remaining > 0, (Block(_body, "BODY"),)),
@@ -112,10 +109,9 @@ class TestScriptedLedger:
         bundle = scripted_kernel()
         params = CostParams(block_costs=(0.0, 1.0, 0.0), alpha=1.0, loop_states=(2,))
         batch = scripted_batch(schedules)
-        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, 2, cost_params=params)
-        N = ledger.iter_counts
-        assert np.array_equal(N, np.array([[3, 1], [1, 3]]))
-        assert analysis.barrier_cost(N) == 6.0
+        _, ledger = run_standard_batched(bundle, DUMMY_TARGET, batch, 2, cost_params=params)
+        assert np.array_equal(ledger.iter_counts, np.array([[3, 1], [1, 3]]))
+        assert ledger.charged_cost == 6.0
 
     def test_ticks_to_nth_sample_identity(self):
         # single-loop machine: chain j needs sum_i (2 + N_ij) ticks
@@ -469,11 +465,11 @@ def _reference_run(bundle, target, m, n, seed, order):
                 out = step(machine, states[j], locs[j])
             else:
                 out = bundled_step(machine, states[j], locs[j], order)
-            states[j], locs[j] = out.state, out.locals
+            states[j] = out.state
             for s in out.executed:
                 executed[s - 1] += 1
             if out.is_sample:
-                samples[j].append(out.locals.x)
+                samples[j].append(locs[j].x)
                 sample_ticks[j].append(tick)
     return (np.stack([np.asarray(x) for x in samples], axis=1), states, executed,
             np.array(sample_ticks).T, [z.rng for z in locs])
@@ -517,3 +513,87 @@ class TestInlinedTick:
             assert np.array_equal(ledger.sample_ticks, sample_ticks), (variant, order)
             assert [z.rng for z in batch.locals] == rngs
             assert ledger.native_shared_evals == calls[0] == ref_calls[0]
+
+
+class RefreshLocals(Locals):
+    """Locals of a program whose blocks and shared function log to ``trace``."""
+
+    __slots__ = ("schedule", "left", "left2", "trace")
+
+    def __init__(self, schedule):
+        super().__init__(x=np.zeros(1), rng=None)
+        self.schedule = itertools.cycle(schedule)
+        self.left = self.left2 = 0
+        self.trace = []
+
+
+def refresh_kernel():
+    """A one-block loop, a two-block loop and a non-loop block marked shared;
+    no block asks for the refresh itself."""
+
+    def logged(label, action=None):
+        def block(z):
+            z.trace.append(label)
+            if action is not None:
+                action(z)
+        return block
+
+    def _init(z):
+        z.left, z.left2 = next(z.schedule), next(z.schedule)
+
+    def _body(z):
+        z.left -= 1
+
+    def _b(z):
+        z.left2 -= 1
+
+    def _done(z):
+        z.x = np.array([float(len(z.trace))])
+
+    program = (
+        Block(logged("INIT", _init), "INIT"),
+        While(lambda z: z.left > 0, (Block(logged("BODY", _body), "BODY", shared=True),)),
+        Block(logged("MID"), "MID", shared=True),
+        While(lambda z: z.left2 > 0, (Block(logged("A"), "A"),
+                                      Block(logged("B", _b), "B", shared=True))),
+        Block(logged("DONE", _done), "DONE"),
+    )
+    return KernelBundle.from_program(
+        "refresh", program, lambda x0, rng, target: RefreshLocals([0]),
+        shared=lambda z: z.trace.append("REFRESH"))
+
+
+REFRESH_SCHEDULES = ([2, 0, 0, 3, 1, 1], [0, 2, 3, 0])
+MARKED = {"BODY", "MID", "B"}
+
+
+@pytest.mark.parametrize("executor", ["step", "bundled_step", "run_fsm_batched-plain",
+                                      "run_fsm_batched-bundled", "monolithic"])
+def test_marked_blocks_refresh_once_after_every_run(executor):
+    bundle = refresh_kernel()
+    machine = bundle.fsm
+    n = 4
+    chains = [RefreshLocals(s) for s in REFRESH_SCHEDULES]
+    refreshes = None
+    if executor.startswith("run_fsm_batched"):
+        batch = ChainBatch(m=len(chains), locals=chains, state_ids=[1] * len(chains),
+                           sample_counts=[0] * len(chains))
+        _, ledger = run_fsm_batched(bundle, DUMMY_TARGET, batch, n,
+                                    step_variant=executor.split("-")[1])
+        refreshes = ledger.native_shared_evals
+    for z in chains:
+        if executor == "monolithic":
+            for _ in range(n):
+                bundle.monolithic(z)
+        elif executor in ("step", "bundled_step"):
+            run, k, got = (step if executor == "step" else bundled_step), 1, 0
+            while got < n:
+                out = run(machine, k, z)
+                k, got = out.state, got + out.is_sample
+        blocks = [t for t in z.trace if t != "REFRESH"]
+        assert blocks.count("DONE") >= n and set(blocks) == set(machine.labels)
+        # each run of a marked block is followed by one refresh; nothing else is
+        assert z.trace == [t for b in blocks
+                           for t in ((b, "REFRESH") if b in MARKED else (b,))]
+    if refreshes is not None:
+        assert refreshes == sum(z.trace.count("REFRESH") for z in chains)
