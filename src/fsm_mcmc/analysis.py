@@ -1,18 +1,20 @@
 """Cost theory made executable, plus sampling diagnostics.
 
-The quantities here are all about the inner-loop iteration counts N_ij
-(chain j's work for its i-th sample):
+The quantities here are all about per-sample loop counts: N_s(i, j) is how
+often chain j ran loop state s for its i-th sample, and the kernel's
+inner-iteration count N sums its ``iter_states`` among them.
 
 * ``efficiency_model`` - E(m), the modeled long-run cost ratio of the
-  barrier regime over the state-machine regime given block costs and the
-  dispatch factor alpha.
+  barrier regime over the state-machine regime given block costs, the
+  dispatch factor alpha and the loop states' E[N_s] and E[max_j N_s]: one
+  formula for every machine, with E(m) <= max_s R_s(m).
 * ``bound_R`` - R(m) = E[max of m iid N] / E[N], the ceiling on the
   de-synchronization speed-up, estimated by Monte Carlo (with the Bernoulli
   closed form when applicable).
-* ``verify_prop_bound`` - random-instance check that E(m) <= R(m), with
-  equality on the single-state family.
+* ``verify_prop_bound`` - random multi-loop instances check
+  E(m) <= max_s R_s, with equality on the single-state family.
 * ``concentration_check`` - fits the n^{-1/2} convergence rate of the
-  per-sample cost.
+  per-sample barrier charge.
 * ``effective_sample_size`` - autocorrelation-time ESS with Geyer's initial
   monotone sequence, combined across chains.
 
@@ -30,11 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lockstep import CostParams
+from .lockstep import CostLedger, CostParams
 
 __all__ = [
     "efficiency_model",
@@ -56,36 +59,26 @@ __all__ = [
 MIN_ESS_SAMPLES = 10
 
 
-def _loop_index(params: CostParams, loop_state: int | None) -> int:
-    if loop_state is not None:
-        return loop_state
-    if len(params.block_costs) == 1:
-        return 1
-    if len(params.loop_states) == 1:
-        return params.loop_states[0]
-    raise ValueError(
-        "efficiency_model needs a unique loop state; pass loop_state explicitly"
-    )
-
-
-def efficiency_model(params: CostParams, mean_N: float, mean_max_N: float,
-                     loop_state: int | None = None) -> float:
+def efficiency_model(params: CostParams, mean_N: Mapping[int, float],
+                     mean_max_N: Mapping[int, float]) -> float:
     """Modeled long-run cost ratio E(m) of barrier over state-machine execution.
 
-    E(m) = (c_rest + c_loop * E[max_j N_j])
-           / (alpha * (c_rest + c_loop) * (K - 1 + E[N])).
+    The loop states L are the keys of ``mean_N`` {s: mu_s = E[N_s]} and
+    ``mean_max_N`` {s: M_s = E[max_j N_s]}; every other state runs once per
+    sample.  With full block costs c_1..c_K,
+    E(m) = (sum_{s not in L} c_s + sum_{s in L} c_s M_s)
+           / (alpha * sum_s c_s * (K - |L| + sum_{s in L} mu_s)).
+    E(m) <= R* = max_s R_s, R_s = M_s / mu_s >= 1, since c_s M_s <= R* c_s mu_s
+    (and c_s <= R* c_s off L), and alpha sum_s c_s >= max_s c_s.
     """
-    if mean_N <= 0:
-        raise ValueError(f"mean_N must be positive, got {mean_N}")
     full = params.full_block_costs()
-    K = len(full)
-    k = _loop_index(params, loop_state)
-    c_loop = full[k - 1]
-    c_rest = sum(full) - c_loop
-    denom = params.alpha * (c_rest + c_loop) * (K - 1 + mean_N)
+    denom = params.alpha * sum(full) * (len(full) - len(mean_N) + sum(mean_N.values()))
     if denom == 0:
-        raise ValueError("zero denominator: total block cost or mean_N degenerate")
-    return (c_rest + c_loop * mean_max_N) / denom
+        raise ValueError("zero denominator: every state is a loop state that never ran")
+    num = sum(c for s, c in enumerate(full, start=1) if s not in mean_N)
+    for s in sorted(mean_N):
+        num += full[s - 1] * mean_max_N[s]
+    return num / denom
 
 
 @dataclass(frozen=True)
@@ -105,22 +98,23 @@ class EfficiencyReport:
             raise ValueError(f"R(m) must be >= 1, got {self.R_of_m}")
 
 
-def efficiency_report(params: CostParams, iter_counts: np.ndarray,
-                      standard_cost_per_sample: float, fsm_cost_per_sample: float,
-                      loop_state: int | None = None) -> EfficiencyReport:
-    """Summarize a paired run from its N matrix and the two charged costs."""
-    N = np.asarray(iter_counts, dtype=float)
-    n, m = N.shape
+def efficiency_report(params: CostParams, barrier_ledger: CostLedger,
+                      fsm_ledger: CostLedger) -> EfficiencyReport:
+    """Summarize a paired run: E(m) over the barrier's loop-state counts,
+    mean_N, mean_max_N and R(m) of the kernel's N."""
+    counts = barrier_ledger.loop_exec_counts
+    N = barrier_ledger.iter_counts
     mean_N = float(N.mean())
     mean_max = float(N.max(axis=1).mean())
     return EfficiencyReport(
-        m=m,
-        E_of_m=efficiency_model(params, mean_N, mean_max, loop_state),
+        m=N.shape[1],
+        E_of_m=efficiency_model(params, {s: float(c.mean()) for s, c in counts.items()},
+                                {s: float(c.max(axis=1).mean()) for s, c in counts.items()}),
         R_of_m=mean_max / mean_N if mean_N > 0 else 1.0,
         mean_N=mean_N,
         mean_max_N=mean_max,
-        standard_cost_per_sample=standard_cost_per_sample,
-        fsm_cost_per_sample=fsm_cost_per_sample,
+        standard_cost_per_sample=barrier_ledger.cost_per_sample(),
+        fsm_cost_per_sample=fsm_ledger.cost_per_sample(),
     )
 
 
@@ -206,12 +200,14 @@ def _discrete_mean_and_max_mean(values: np.ndarray, probs: np.ndarray, m: int
 
 
 def verify_prop_bound(trials: int, seed: int = 0, tol: float = 1e-12) -> PropBoundReport:
-    """Random-instance verification that E(m) <= R(m).
+    """Random-instance verification that E(m) <= max_s R_s(m).
 
     Each trial draws K in 1..6, nonnegative block costs, an admissible alpha
-    (its lower endpoint with probability 1/4), m in 1..64, and a bounded
-    discrete N distribution with positive mean; both sides are evaluated
-    exactly.  K = 1 instances must give equality to ``tol`` relative error.
+    (its lower endpoint with probability 1/4), m in 1..64 and a set L of
+    loop states: {1} for K = 1, else a non-empty proper subset of 1..K.
+    Each loop state gets its own bounded discrete N distribution with
+    positive mean, and both sides are evaluated exactly.  K = 1 instances
+    must give equality to ``tol`` relative error.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -223,27 +219,29 @@ def verify_prop_bound(trials: int, seed: int = 0, tol: float = 1e-12) -> PropBou
         if K == 1:
             costs = (float(rng.uniform(0.1, 3.0)),)
             alpha = 1.0
-            k = 1
+            loops = [1]
         else:
             costs = tuple(rng.uniform(0.0, 3.0, size=K))
             if sum(costs) == 0.0:
                 costs = tuple(c + 0.1 for c in costs)
-            k = int(rng.integers(1, K + 1))
+            loops = sorted(int(s) for s in rng.choice(
+                np.arange(1, K + 1), size=int(rng.integers(1, K)), replace=False))
             lo = max(costs) / sum(costs)
             alpha = lo if rng.random() < 0.25 else float(rng.uniform(lo, 1.0))
-        B = int(rng.integers(1, 41))
-        probs = rng.dirichlet(np.ones(B + 1))
-        if probs[0] > 1.0 - 1e-9:  # keep the mean positive
-            probs = np.full(B + 1, 1.0 / (B + 1))
-        values = np.arange(B + 1)
-        mean_N, mean_max = _discrete_mean_and_max_mean(values, probs, m)
-        params = CostParams(block_costs=costs, alpha=alpha, loop_states=(k,))
-        e_m = efficiency_model(params, mean_N, mean_max, loop_state=k)
-        r_m = mean_max / mean_N
+        mean_N, mean_max = {}, {}
+        for s in loops:
+            B = int(rng.integers(1, 41))
+            probs = rng.dirichlet(np.ones(B + 1))
+            if probs[0] > 1.0 - 1e-9:  # keep the mean positive
+                probs = np.full(B + 1, 1.0 / (B + 1))
+            mean_N[s], mean_max[s] = _discrete_mean_and_max_mean(np.arange(B + 1), probs, m)
+        params = CostParams(block_costs=costs, alpha=alpha)
+        e_m = efficiency_model(params, mean_N, mean_max)
+        r_m = max(mean_max[s] / mean_N[s] for s in loops)
         if e_m > r_m + tol * max(1.0, abs(r_m)):
             report.violations.append(
                 {"trial": t, "K": K, "m": m, "alpha": alpha, "costs": costs,
-                 "E": e_m, "R": r_m}
+                 "loops": loops, "E": e_m, "R": r_m}
             )
             report.max_excess = max(report.max_excess, e_m - r_m)
         if K == 1:
@@ -264,39 +262,33 @@ class ConcentrationReport:
     degenerate: bool
 
 
-def concentration_check(iter_count_runs: list[np.ndarray], n_grid,
-                        cost_params: CostParams,
-                        loop_state: int | None = None) -> ConcentrationReport:
+def concentration_check(charge_runs: list[np.ndarray], n_grid) -> ConcentrationReport:
     """Fit the convergence rate of the per-sample barrier cost.
 
-    ``iter_count_runs`` holds one (n_max, m) matrix per seed.  For each n in
-    the grid, the per-sample cost C(m, n) uses the first n rows; the limit is
-    the across-seed mean at the largest n, and the report fits
-    log(mean |C - limit|) against log n.  Deterministic N gives zero
-    deviations everywhere and a degenerate (slope-free) report.
+    ``charge_runs`` holds one (n_max,) array per seed of the barrier's
+    per-sample charges (:meth:`CostParams.barrier_charges` of the run's loop
+    counts).  For each n in the grid, C(m, n) is the mean of a run's first
+    n charges; the limit is the across-seed mean at the largest n, and the
+    report fits log(mean |C - limit|) against log n.  Deterministic charges
+    give zero deviations everywhere and a degenerate (slope-free) report.
     """
     n_grid = tuple(int(n) for n in n_grid)
     if len(n_grid) < 4:
         raise ValueError("need at least 4 grid points")
     if max(n_grid) / min(n_grid) < 100:
         raise ValueError("grid must span at least two decades")
-    full = cost_params.full_block_costs()
-    k = _loop_index(cost_params, loop_state)
-    c_loop = full[k - 1]
-    c_rest = sum(full) - c_loop
-    if any(run.shape[0] < max(n_grid) for run in iter_count_runs):
+    if any(run.shape[0] < max(n_grid) for run in charge_runs):
         raise ValueError("every run must cover the largest grid point")
-
-    def per_sample_cost(N: np.ndarray, n: int) -> float:
-        return c_rest + c_loop * float(N[:n].max(axis=1).mean())
-
-    costs = {n: np.array([per_sample_cost(run, n) for run in iter_count_runs])
+    # the deviations do not depend on a shift, and charges that equal the
+    # first one then average to exactly 0
+    ref = float(charge_runs[0][0])
+    costs = {n: np.array([float((run[:n] - ref).mean()) for run in charge_runs])
              for n in n_grid}
     n_max = max(n_grid)
     limit = float(costs[n_max].mean())
     deviations = tuple(float(np.mean(np.abs(costs[n] - limit))) for n in n_grid)
     if any(dev == 0.0 for dev in deviations):
-        return ConcentrationReport(n_grid, deviations, None, None, None, limit, True)
+        return ConcentrationReport(n_grid, deviations, None, None, None, ref + limit, True)
     # ordinary least squares of log deviation on log n, in closed form
     u, v = np.log(n_grid), np.log(deviations)
     du, dv = u - u.mean(), v - v.mean()
@@ -311,7 +303,7 @@ def concentration_check(iter_count_runs: list[np.ndarray], n_grid,
         slope=slope,
         slope_stderr=stderr,
         slope_ci95=(slope - half, slope + half),
-        limit_estimate=limit,
+        limit_estimate=ref + limit,
         degenerate=False,
     )
 

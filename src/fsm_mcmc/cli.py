@@ -271,16 +271,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
             raise RuntimeError(
                 f"seed {seed}: state-machine samples diverged from the reference run"
             )
-        N = std_ledger.iter_counts
-        mean_N = float(N.mean())
-        mean_max = float(N.max(axis=1).mean())
-        r_hat = mean_max / mean_N if mean_N > 0 else 1.0
-        efficiency = None
-        if len(bundle.fsm.loop_states) == 1 and mean_N > 0:
-            efficiency = analysis.efficiency_report(
-                params, N, std_ledger.cost_per_sample(),
-                fsm_ledger.cost_per_sample())
-        e_hat = efficiency.E_of_m if efficiency is not None else None
+        efficiency = analysis.efficiency_report(params, std_ledger, fsm_ledger)
         ess = analysis.effective_sample_size(std_samples)
         result.reports.append({
             "seed": seed,
@@ -295,8 +286,8 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
                 **base, "regime": regime, "seed": seed,
                 "cost_per_sample": cps,
                 "ticks": ledger.tick_count,
-                "mean_N": mean_N, "mean_max_N": mean_max,
-                "R_hat": r_hat, "E_hat": e_hat,
+                "mean_N": efficiency.mean_N, "mean_max_N": efficiency.mean_max_N,
+                "R_hat": efficiency.R_of_m, "E_hat": efficiency.E_of_m,
                 "ess_pooled": ess.pooled,
                 "ess_per_cost": ess.pooled / ledger.charged_cost,
             })
@@ -349,7 +340,9 @@ def _save_partial(out_dir: Path, seed: int, exc: TickBudgetExceeded | KernelRunE
     (out_dir / f"partial_seed{seed}.json").write_text(json.dumps(payload, indent=2) + "\n")
 
 
-SWEEP_AXES = ("m", "n", "dataset_size")
+# each sweep axis and the RunConfig field it sets
+SWEEP_FIELDS = {"m": "chains", "n": "samples", "dataset_size": "gp_n"}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 
 def sweep(config: RunConfig, axis: str, values) -> list[dict]:
@@ -364,13 +357,7 @@ def sweep(config: RunConfig, axis: str, values) -> list[dict]:
     all_rows = []
     failures = []
     for v in values:
-        if axis == "m":
-            sub = replace(config, chains=int(v))
-        elif axis == "n":
-            sub = replace(config, samples=int(v))
-        else:
-            sub = replace(config, gp_n=int(v))
-        sub = replace(sub, out=str(out_dir / f"{axis}-{v}"))
+        sub = replace(config, **{SWEEP_FIELDS[axis]: v}, out=str(out_dir / f"{axis}-{v}"))
         try:
             res = run_experiment(sub)
         except Exception as exc:  # noqa: BLE001 - sweep continues past failures
@@ -499,12 +486,16 @@ def main(argv=None) -> int:
     errors = config.validate()
     if (args.sweep_axis is None) != (args.sweep_values is None):
         errors.append("--sweep-axis and --sweep-values must be given together")
-    if args.sweep_axis:
+    if args.sweep_axis and not errors:
         try:
-            values = [float(v) if "." in v else int(v)
-                      for v in str(args.sweep_values).split(",") if v.strip()]
+            values = [int(v) for v in str(args.sweep_values).split(",") if v.strip()]
         except ValueError as exc:
             errors.append(f"--sweep-values: {exc}")
+        else:  # each value must make a configuration of its own
+            if args.sweep_axis == "dataset_size" and config.target != "gp-synthetic":
+                errors.append("sweep axis dataset_size needs --target gp-synthetic")
+            errors += [f"--sweep-values {v}: {e}" for v in values for e in
+                       replace(config, **{SWEEP_FIELDS[args.sweep_axis]: v}).validate()]
     if errors:
         print(json.dumps({"errors": errors}), file=sys.stderr)
         return 2

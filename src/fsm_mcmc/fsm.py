@@ -101,13 +101,13 @@ class SharedComputation:
     """An expensive function shared by several blocks.
 
     ``fn`` reads the locals and writes its result into a cache field on the
-    locals; ``sites`` maps state index -> number of call sites that block
-    would contain if the computation were inlined (used by the cost model).
-    Executors run ``fn`` once after every execution of a state in ``sites``.
+    locals; ``sites`` are the states whose blocks are marked shared, each one
+    call site in the cost model.  Executors run ``fn`` once after every
+    execution of a state in ``sites``.
     """
 
     fn: Callable[[Any], None]
-    sites: dict[int, int]
+    sites: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -307,13 +307,14 @@ def compile_program(program: tuple, shared: Callable[[Any], None] | None = None
                     ) -> CompiledProgram:
     """Number a program's blocks 1..K in order and derive both of its forms.
 
-    A program is a tuple of :class:`Block` and :class:`While` nodes that
-    starts with a block and ends with a block outside every loop; ``shared``
-    is the kernel's shared computation, if any.  The machine's transition out
-    of block k follows program order from k, evaluating each ``While``
-    condition it meets, and wraps the last block to 1; its edges are every
-    way that walk can go.  The loop states are the blocks inside a ``While``;
-    ``iter_states`` is the first block of each innermost loop body.
+    A program is a tuple of :class:`Block` and :class:`While` nodes, with at
+    least one loop, that starts with a block and ends with a block outside
+    every loop; ``shared`` is the kernel's shared computation, if any.  The
+    machine's transition out of block k follows program order from k,
+    evaluating each ``While`` condition it meets, and wraps the last block
+    to 1; its edges are every way that walk can go.  The loop states are the
+    blocks inside a ``While``; ``iter_states`` is the first block of each
+    innermost loop body.
 
     ``monolithic(z)`` runs the same blocks as while loops on ``z`` in place,
     refreshing the shared cache after every run of a marked block, as the
@@ -347,8 +348,10 @@ def compile_program(program: tuple, shared: Callable[[Any], None] | None = None
         raise FsmError("a program starts with a block and ends with a block outside "
                        "every loop")
     tree = number(program, False)
+    if not iter_states:  # the drivers count each sample's N in its loops
+        raise FsmError("a program needs at least one While loop")
     K = len(blocks)
-    sites = {k: 1 for k, b in enumerate(blocks, start=1) if b.shared}
+    sites = frozenset(k for k, b in enumerate(blocks, start=1) if b.shared)
     if sites and shared is None:
         raise FsmError("blocks are marked shared but no shared computation is given")
 

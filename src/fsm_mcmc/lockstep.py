@@ -5,7 +5,8 @@ run-all-branches-and-mask model of batched accelerators:
 
 * :func:`run_standard_batched` - one sample per chain per outer iteration,
   with a synchronization barrier each iteration: the model charge for
-  iteration i is (non-loop block cost) + (loop block cost) x max_j N_ij.
+  iteration i is :meth:`CostParams.barrier_charges`, each non-loop block
+  once plus each loop block times its slowest chain's executions.
 * :func:`run_fsm_batched` - every tick advances every chain one executor
   call; the charge per tick is alpha x (sum of all block costs), because a
   masked batch executes every branch.  The loop runs until every chain has
@@ -158,6 +159,16 @@ class CostParams:
             return int(sum(self.shared_sites))
         return 1
 
+    def barrier_charges(self, loop_exec_counts: dict[int, np.ndarray]) -> np.ndarray:
+        """The barrier's charge for each row of (n, m) loop counts, whose keys
+        are the loop states L: ``sum_{s not in L} c_s + sum_{s in L} c_s *
+        max_j N_s(i, j)`` in full block costs."""
+        full = self.full_block_costs()
+        rows = sum(c for s, c in enumerate(full, start=1) if s not in loop_exec_counts)
+        for s in sorted(loop_exec_counts):
+            rows = rows + full[s - 1] * loop_exec_counts[s].max(axis=1)
+        return rows
+
     @staticmethod
     def for_fsm(fsm: FsmDefinition, block_costs=None, alpha: float = 1.0,
                 shared_cost: float = 1.0) -> "CostParams":
@@ -167,7 +178,7 @@ class CostParams:
         costs = tuple(block_costs) if block_costs is not None else (1.0,) * K
         if len(costs) != K:
             raise ValueError(f"{len(costs)} block costs for a {K}-state kernel")
-        sites = tuple(fsm.shared.sites.get(k, 0) for k in range(1, K + 1)) \
+        sites = tuple(int(k in fsm.shared.sites) for k in range(1, K + 1)) \
             if fsm.shared is not None else (0,) * K
         return CostParams(
             block_costs=costs,
@@ -262,10 +273,18 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
     Each sample runs the kernel's while loops on the chain's own ``Locals``,
     the record the state-machine driver steps.
 
-    The barrier charge for iteration i is
+    The barrier charge for iteration i is row i of
+    :meth:`CostParams.barrier_charges`:
     ``sum_{non-loop} c_b + sum_{loop} c_b * max_j execs_b(i, j)``.  When a
     kernel fails at iteration i, the :class:`KernelRunError` ledger holds the
     first i rows.
+
+    The per-loop-state max is what a ``vmap``-ed barrier pays for every
+    shipped kernel.  A single or sequential loop waits for its own max;
+    NUTS's nested loops pay ``sum_o max_j N_inner(j, o)`` over outer
+    iterations o, which is ``max_j sum_o N_inner(j, o)``: a chain's subtree
+    at iteration o has 2^o leaves unless its trajectory stops there, in its
+    last iteration, so a chain with the most leaves has the most iterations.
     """
     _validate_run_args(batch, n)
     bundle.check_target(target)
@@ -278,15 +297,12 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
             f"cost loop_states {params.loop_states} are not the kernel's loop "
             f"states {loop_states}"
         )
-    full = params.full_block_costs()
-    if len(full) != K:
-        raise ValueError(f"{len(full)} block costs for a {K}-state kernel")
-    nonloop_cost = sum(c for s, c in zip(range(1, K + 1), full) if s not in loop_states)
+    if len(params.block_costs) != K:
+        raise ValueError(f"{len(params.block_costs)} block costs for a {K}-state kernel")
     m = batch.m
     d = target.dim
     samples = np.empty((n, m, d))
     loop_execs = {s: np.zeros((n, m), dtype=np.int64) for s in loop_states}
-    charged = 0.0
     t0 = time.perf_counter()
     for i in range(n):
         for j in range(m):
@@ -294,7 +310,7 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
             try:
                 execs = bundle.monolithic(z)
             except Exception as exc:  # noqa: BLE001 - re-raise with chain context
-                ledger = _standard_ledger(bundle, i, m, loop_execs, charged,
+                ledger = _standard_ledger(bundle, params, i, m, loop_execs,
                                           time.perf_counter() - t0)
                 raise KernelRunError(chain=j, iteration=i, cause=exc,
                                      ledger=ledger) from exc
@@ -302,28 +318,25 @@ def run_standard_batched(bundle, target, batch: ChainBatch, n: int,
             for s, cnt in execs.items():
                 loop_execs[s][i, j] = cnt
             batch.sample_counts[j] += 1
-        it_cost = nonloop_cost
-        for s in loop_states:
-            it_cost += full[s - 1] * float(loop_execs[s][i].max())
-        charged += it_cost
-    ledger = _standard_ledger(bundle, n, m, loop_execs, charged,
-                              time.perf_counter() - t0)
+    ledger = _standard_ledger(bundle, params, n, m, loop_execs, time.perf_counter() - t0)
     return samples, ledger
 
 
-def _standard_ledger(bundle, rows: int, m: int, loop_execs: dict[int, np.ndarray],
-                     charged: float, walltime: float) -> CostLedger:
+def _standard_ledger(bundle, params: CostParams, rows: int, m: int,
+                     loop_execs: dict[int, np.ndarray], walltime: float) -> CostLedger:
     """The barrier's ledger of its first ``rows`` iterations."""
     loop_execs = {s: a[:rows] for s, a in loop_execs.items()}
     # a non-loop block runs once per sample
     block_totals = [loop_execs[s].sum() if s in loop_execs else rows * m
                     for s in range(1, bundle.fsm.n_states + 1)]
+    # a running sum, row after row: numpy's sum would add pairwise
+    charges = np.cumsum(params.barrier_charges(loop_execs))
     return CostLedger(
         iter_counts=sum(loop_execs[s] for s in bundle.iter_states),
         loop_exec_counts=loop_execs,
         tick_count=rows,
         block_exec_counts=np.array(block_totals, dtype=np.int64),
-        charged_cost=charged,
+        charged_cost=float(charges[-1]) if rows else 0.0,
         walltime=walltime,
         regime="standard",
     )

@@ -71,7 +71,7 @@ def test_criterion_2_efficiency_bound():
     t0 = time.perf_counter()
     rep = verify_prop_bound(10_000, seed=0)
     elapsed = time.perf_counter() - t0
-    report(2, "E(m) <= R(m) on 10^4 random instances",
+    report(2, "E(m) <= max_s R_s(m) on 10^4 random multi-loop instances",
            {"zero_violations": rep.ok,
             "tightness_1e-12": rep.tightness_max_rel_err < 1e-12,
             "tightness_family_nonempty": rep.tightness_cases > 0},
@@ -202,9 +202,8 @@ def test_criterion_7_concentration_rate():
     for seed in range(20):
         batch = init_batch(bundle, target, 4, 100 + seed)
         _, led = run_standard_batched(bundle, target, batch, 100_000)
-        runs.append(led.iter_counts)
-    rep = concentration_check(runs, (100, 1000, 10_000, 100_000),
-                              bundle.default_costs)
+        runs.append(bundle.default_costs.barrier_charges(led.loop_exec_counts))
+    rep = concentration_check(runs, (100, 1000, 10_000, 100_000))
     elapsed = time.perf_counter() - t0
     report(7, "per-sample cost concentration rate ~ n^(-1/2)",
            {"slope_in_band": rep.slope is not None and -0.65 <= rep.slope <= -0.35},

@@ -15,34 +15,37 @@ from fsm_mcmc.analysis import (
     efficiency_report,
     verify_prop_bound,
 )
-from fsm_mcmc.lockstep import CostParams
+from fsm_mcmc.lockstep import CostLedger, CostParams
 
 
 class TestEfficiencyModel:
     def test_worked_three_state_example(self):
         # K=3, unit costs, alpha=1, E[N]=6, E[max N]=18: (2+18)/(3*(2+6))
         params = CostParams(block_costs=(1.0, 1.0, 1.0), alpha=1.0, loop_states=(2,))
-        assert efficiency_model(params, 6.0, 18.0) == pytest.approx(20.0 / 24.0)
+        assert efficiency_model(params, {2: 6.0}, {2: 18.0}) == pytest.approx(20.0 / 24.0)
 
     def test_single_state_equals_bound(self):
         params = CostParams(block_costs=(1.0,), alpha=1.0)
-        assert efficiency_model(params, 6.0, 18.0) == pytest.approx(3.0)
+        assert efficiency_model(params, {1: 6.0}, {1: 18.0}) == pytest.approx(3.0)
 
     def test_single_chain_single_state_is_one(self):
         params = CostParams(block_costs=(2.5,), alpha=1.0)
-        assert efficiency_model(params, 4.0, 4.0) == pytest.approx(1.0)
+        assert efficiency_model(params, {1: 4.0}, {1: 4.0}) == pytest.approx(1.0)
 
-    def test_needs_unique_loop_state(self):
-        params = CostParams(block_costs=(1.0, 1.0, 1.0), alpha=1.0,
-                            loop_states=(2, 3))
-        with pytest.raises(ValueError):
-            efficiency_model(params, 2.0, 3.0)
-        assert efficiency_model(params, 2.0, 3.0, loop_state=2) > 0
+    def test_hand_evaluated_two_loop_case(self):
+        # K=3, costs (1, 2, 3), loops {2, 3} with E[N] (2, 1) and E[max N]
+        # (3, 4): (1 + 2*3 + 3*4) / (6 * (3 - 2 + 2 + 1)), below max R_s = 4
+        params = CostParams(block_costs=(1.0, 2.0, 3.0), alpha=1.0)
+        e = efficiency_model(params, {2: 2.0, 3: 1.0}, {2: 3.0, 3: 4.0})
+        assert e == pytest.approx(19.0 / 24.0)
+        # the loop states are the mappings' keys, not the parameters'
+        with_loops = CostParams(block_costs=(1.0, 2.0, 3.0), alpha=1.0, loop_states=(2,))
+        assert efficiency_model(with_loops, {2: 2.0, 3: 1.0}, {2: 3.0, 3: 4.0}) == e
 
     def test_zero_mean_rejected(self):
         params = CostParams(block_costs=(1.0,), alpha=1.0)
         with pytest.raises(ValueError):
-            efficiency_model(params, 0.0, 1.0)
+            efficiency_model(params, {1: 0.0}, {1: 1.0})
 
 
 class TestBoundR:
@@ -90,18 +93,22 @@ class TestPropBound:
 
 class TestConcentration:
     def test_deterministic_counts_give_zero_deviations(self):
-        runs = [np.full((1000, 4), 3, dtype=np.int64) for _ in range(5)]
-        params = CostParams(block_costs=(1.0, 1.0, 1.0), alpha=1.0, loop_states=(2,))
-        rep = concentration_check(runs, (10, 100, 500, 1000), params)
+        # drmh's costs: 0.05 + 3.0 + 0.05 has no exact mean over most n
+        params = CostParams(block_costs=(0.05, 1.0, 0.05), alpha=1.0, loop_states=(2,))
+        runs = [params.barrier_charges({2: np.full((1000, 4), 3, dtype=np.int64)})
+                for _ in range(5)]
+        rep = concentration_check(runs, (10, 100, 500, 1000))
         assert rep.degenerate
         assert all(d == 0.0 for d in rep.deviations)
         assert rep.slope is None
+        assert rep.limit_estimate == runs[0][0]
 
     def test_iid_counts_recover_half_rate(self):
         rng = np.random.default_rng(4)
-        runs = [rng.geometric(0.4, size=(20_000, 4)) for _ in range(16)]
         params = CostParams(block_costs=(0.0, 1.0, 0.0), alpha=1.0, loop_states=(2,))
-        rep = concentration_check(runs, (20, 200, 2000, 20_000), params)
+        runs = [params.barrier_charges({2: rng.geometric(0.4, size=(20_000, 4))})
+                for _ in range(16)]
+        rep = concentration_check(runs, (20, 200, 2000, 20_000))
         assert rep.slope is not None
         assert -0.65 < rep.slope < -0.35
 
@@ -113,9 +120,11 @@ class TestConcentration:
         n_max = int(rng.integers(2_000, 5_000))
         grid = sorted({int(n) for n in np.geomspace(int(rng.integers(5, 20)), n_max,
                                                     int(rng.integers(4, 8)))})
-        runs = [rng.geometric(rng.uniform(0.2, 0.6), size=(n_max, 3)) for _ in range(8)]
         params = CostParams(block_costs=(0.5, 1.0, 0.25), alpha=1.0, loop_states=(2,))
-        rep = concentration_check(runs, grid, params)
+        runs = [params.barrier_charges({2: rng.geometric(rng.uniform(0.2, 0.6),
+                                                         size=(n_max, 3))})
+                for _ in range(8)]
+        rep = concentration_check(runs, grid)
         fit = stats.linregress(np.log(rep.n_grid), np.log(rep.deviations))
         assert not rep.degenerate
         assert rep.slope == pytest.approx(fit.slope, rel=1e-12)
@@ -125,11 +134,12 @@ class TestConcentration:
                                                rel=1e-12)
 
     def test_grid_validation(self):
-        params = CostParams(block_costs=(1.0,), alpha=1.0)
         with pytest.raises(ValueError):
-            concentration_check([np.ones((100, 2))], (10, 20, 50, 100), params)
+            concentration_check([np.ones(100)], (10, 20, 50, 100))
         with pytest.raises(ValueError):
-            concentration_check([np.ones((100, 2))], (10, 100), params)
+            concentration_check([np.ones(100)], (10, 100))
+        with pytest.raises(ValueError):
+            concentration_check([np.ones(100)], (1, 10, 100, 1000))
 
 
 class TestEss:
@@ -179,13 +189,20 @@ class TestEfficiencyReport:
     def test_report_from_iter_matrix(self):
         params = CostParams(block_costs=(1.0, 1.0, 1.0), alpha=1.0, loop_states=(2,))
         N = np.array([[3, 1], [1, 3]])
-        rep = efficiency_report(params, N, standard_cost_per_sample=5.0,
-                                fsm_cost_per_sample=4.0)
+
+        def ledger(charged, regime):
+            return CostLedger(iter_counts=N, loop_exec_counts={2: N}, tick_count=2,
+                              block_exec_counts=np.array([4, 8, 4]), charged_cost=charged,
+                              walltime=0.0, regime=regime)
+
+        rep = efficiency_report(params, ledger(10.0, "standard"), ledger(8.0, "fsm-plain"))
         assert rep.m == 2
         assert rep.mean_N == pytest.approx(2.0)
         assert rep.mean_max_N == pytest.approx(3.0)
         assert rep.R_of_m == pytest.approx(1.5)
-        assert rep.E_of_m <= rep.R_of_m
+        # (2 + 3) / (3 * (2 + 2))
+        assert rep.E_of_m == pytest.approx(5.0 / 12.0)
+        assert (rep.standard_cost_per_sample, rep.fsm_cost_per_sample) == (5.0, 4.0)
 
     def test_r_below_one_rejected(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import filecmp
 import json
+import math
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -43,6 +44,17 @@ class TestConfigValidation:
         assert c != a
 
 
+# every machine the package ships, at small sizes
+MACHINES = {
+    "drmh": dict(kernel="drmh"),
+    "drmh-split": dict(kernel="drmh", drmh_split_body=True),
+    "slice": dict(kernel="slice"),
+    "elliptical": dict(kernel="elliptical", target="gp-synthetic", variant="amortized",
+                       gp_n=20),
+    "nuts": dict(kernel="nuts", target="gaussian-corr", dim=2),
+}
+
+
 class TestRunExperiment:
     def test_rows_and_files(self, tmp_path):
         config = RunConfig(kernel="drmh", chains=3, samples=150,
@@ -63,12 +75,26 @@ class TestRunExperiment:
         assert [s["label"] for s in manifest["machine"]["states"]] == [
             "INIT", "PROPOSE", "DONE"]
 
-    def test_rerun_is_byte_identical(self, tmp_path):
-        kwargs = dict(kernel="drmh", chains=2, samples=120, seeds=(3,))
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_rerun_is_byte_identical(self, tmp_path, machine):
+        kwargs = dict(chains=2, samples=120, seeds=(3,), **MACHINES[machine])
         run_experiment(RunConfig(out=str(tmp_path / "a"), **kwargs))
         run_experiment(RunConfig(out=str(tmp_path / "b"), **kwargs))
         assert filecmp.cmp(tmp_path / "a" / "results.csv",
                            tmp_path / "b" / "results.csv", shallow=False)
+        lines = (tmp_path / "a" / "results.csv").read_text().splitlines()
+        column = lines[0].split(",").index("E_hat")
+        assert all(line.split(",")[column] for line in lines[1:])
+
+    @pytest.mark.parametrize("machine", sorted(MACHINES))
+    def test_efficiency_is_a_value_within_the_bound(self, machine):
+        res = run_experiment(RunConfig(chains=4, samples=60, seeds=(0,), **MACHINES[machine]),
+                             write=False)
+        counts = res.reports[0]["ledgers"]["standard"].loop_exec_counts
+        r_max = max(c.max(axis=1).mean() / c.mean() for c in counts.values() if c.mean() > 0)
+        e = res.reports[0]["efficiency"].E_of_m
+        assert math.isfinite(e)
+        assert 0 < e <= r_max
 
     def test_single_chain_regimes_differ_only_by_dispatch(self, tmp_path):
         # m=1: no synchronization effect; the machine pays only its
@@ -266,6 +292,10 @@ class TestMain:
         # too short for the ESS, which would fail only after both regimes ran
         ["--kernel", "drmh", "--chains", "4", "--samples", "5"],
         ["--sweep-axis", "m", "--sweep-values", "2,abc"],
+        # sweep values that are no configuration of their own
+        ["--samples", "20", "--sweep-axis", "m", "--sweep-values", "0,2"],
+        ["--sweep-axis", "m", "--sweep-values", "2.5"],
+        ["--sweep-axis", "dataset_size", "--sweep-values", "10,20"],
     ])
     def test_builder_errors_are_config_errors(self, tmp_path, capsys, argv):
         out = tmp_path / "bad"

@@ -194,7 +194,7 @@ def test_amortized_step_runs_shared_between_block_and_transition():
         transition=transition,
         labels=("BLOCK", "DONE"),
         edges=frozenset({(1, 2), (1, 1), (2, 1)}),
-        shared=SharedComputation(fn=g, sites={1: 1}),
+        shared=SharedComputation(fn=g, sites=frozenset({1})),
     )
     # the amortized variant runs this same step; only its charge differs
     z = CounterLocals()
@@ -560,7 +560,8 @@ def _b(label):
     ((), "starts with a block"),
     ((_b("A"), While(lambda z: False, (_b("B"),))), "ends with a block outside"),
     ((_b("A"), While(lambda z: False, ()), _b("B")), "at least one block"),
-], ids=["starts-with-a-loop", "empty", "ends-in-a-loop", "empty-loop-body"])
+    ((_b("A"), _b("B")), "at least one While"),
+], ids=["starts-with-a-loop", "empty", "ends-in-a-loop", "empty-loop-body", "no-loop"])
 def test_compile_program_rejects_malformed_programs(program, message):
     with pytest.raises(FsmError, match=message):
         compile_program(program)
@@ -573,7 +574,7 @@ def test_compile_program_reads_shared_sites_from_block_marks():
     program = (Block(tag("A"), "A", shared=True),
                While(lambda z: False, (Block(tag("B"), "B", shared=True),)),
                _b("C"))
-    assert compile_program(program, refresh).fsm.shared.sites == {1: 1, 2: 1}
+    assert compile_program(program, refresh).fsm.shared.sites == frozenset({1, 2})
     with pytest.raises(FsmError, match="no shared computation"):
         compile_program(program)
 

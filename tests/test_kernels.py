@@ -296,7 +296,7 @@ class TestElliptical:
         bundle = elliptical_kernel()
         assert bundle.fsm.labels == ("INIT", "SHRINK", "DONE")
         assert bundle.fsm.shared is not None
-        assert bundle.fsm.shared.sites == {1: 1, 2: 1}
+        assert bundle.fsm.shared.sites == frozenset({1, 2})
 
     def test_pure_prior_accepts_first_proposal(self):
         d = 3

@@ -29,7 +29,12 @@ from fsm_mcmc.lockstep import (
     run_fsm_batched,
     run_standard_batched,
 )
-from fsm_mcmc.targets import TargetModel, standard_normal_target
+from fsm_mcmc.targets import (
+    TargetModel,
+    equicorrelated_covariance,
+    gaussian_target,
+    standard_normal_target,
+)
 from tests_common_conjugate import conjugate_target
 
 
@@ -171,6 +176,54 @@ class TestStandardDriver:
         _, ledger = run_standard_batched(bundle, t, batch, 10_000)
         N = ledger.iter_counts
         assert N.max(axis=1).mean() > N.mean()
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("dim, rho", [(2, 0.99), (10, 0.9)])
+    def test_nuts_charge_is_what_vmap_pays(self, dim, rho, seed):
+        # vmap of NUTS's nested loops runs the outer loop max_j outer(j)
+        # times and, at outer iteration o, the inner loop max_j N_inner(j, o)
+        # times; the barrier charges INTEGRATE max_j sum_o N_inner(j, o)
+        nuts = nuts_kernel(0.25)
+        init, outer, done = nuts.program
+        double, inner, check = outer.body
+        integrate = inner.body[0]
+        log = {}  # id(locals) -> per sample, INTEGRATE runs per outer iteration
+
+        def recording_double(z):
+            if z.depth == 0:  # a sample's first outer iteration
+                log.setdefault(id(z), []).append([])
+            log[id(z)][-1].append(0)
+            double.fn(z)
+
+        def recording_integrate(z):
+            log[id(z)][-1][-1] += 1
+            integrate.fn(z)
+
+        program = (init, While(outer.cond, (
+            double._replace(fn=recording_double),
+            While(inner.cond, (integrate._replace(fn=recording_integrate),)),
+            check)), done)
+        bundle = KernelBundle.from_program(
+            "nuts", program, nuts.init_locals,
+            block_costs=nuts.default_costs.block_costs, requires=nuts.requires)
+        t = gaussian_target(np.zeros(dim),
+                            np.linalg.cholesky(equicorrelated_covariance(dim, rho)))
+        c = bundle.default_costs.full_block_costs()
+        n = 20
+        for m in (4, 16, 64):
+            log.clear()
+            batch = init_batch(bundle, t, m, seed)
+            _, ledger = run_standard_batched(bundle, t, batch, n)
+            vmap_charge = 0.0
+            for i in range(n):
+                outers = [log[id(z)][i] for z in batch.locals]
+                iterations = max(len(o) for o in outers)
+                inner_runs = sum(max(o[k] for o in outers if k < len(o))
+                                 for k in range(iterations))
+                assert inner_runs == ledger.loop_exec_counts[3][i].max()
+                vmap_charge += (c[0] + c[4] + (c[1] + c[3]) * iterations
+                                + c[2] * inner_runs)
+            assert ledger.charged_cost == pytest.approx(vmap_charge, rel=1e-12)
 
     def test_kernel_failure_reports_chain_and_iteration(self):
         calls = {"n": 0}
@@ -389,9 +442,9 @@ class TestWorkParity:
         assert np.array_equal(machine.block_exec_counts, barrier.block_exec_counts)
         # every execution of a block with a shared site requests one evaluation
         shared = bundle.fsm.shared
-        sites = shared.sites if shared is not None else {}
-        barrier_shared = sum(sites.get(s, 0) * int(c) for s, c in
-                             enumerate(barrier.block_exec_counts, start=1))
+        sites = shared.sites if shared is not None else frozenset()
+        barrier_shared = sum(int(c) for s, c in enumerate(barrier.block_exec_counts, start=1)
+                             if s in sites)
         assert machine.native_shared_evals == barrier_shared
         assert [z.rng for z in fsm_batch.locals] == [z.rng for z in barrier_batch.locals]
         # finished chains stop stepping, but the charge runs to the end of the
