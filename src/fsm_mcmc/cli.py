@@ -63,10 +63,13 @@ _CHOICES = {
     "variant": STEP_VARIANTS,
 }
 
+# the kernels' events (KernelBundle.events), each summed over the chains;
+# empty for a kernel without that event
+EVENT_COLUMNS = ("divergences", "depth_cap_hits", "cap_hits")
 RESULT_COLUMNS = (
     "kernel", "target", "m", "n", "variant", "regime", "seed",
     "cost_per_sample", "ticks", "mean_N", "mean_max_N", "R_hat", "E_hat",
-    "ess_pooled", "ess_per_cost", "config_hash",
+    "ess_pooled", "ess_per_cost", "config_hash", *EVENT_COLUMNS,
 )
 TIMING_COLUMNS = (
     "kernel", "target", "m", "n", "variant", "regime", "seed",
@@ -257,6 +260,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
         try:
             std_samples, std_ledger = run_standard_batched(
                 bundle, target, batch, config.samples, cost_params=params)
+            std_batch = batch
             batch = init_batch(bundle, target, config.chains, seed,
                                init_jitter=config.init_jitter)
             fsm_samples, fsm_ledger = run_fsm_batched(
@@ -271,6 +275,11 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
             raise RuntimeError(
                 f"seed {seed}: state-machine samples diverged from the reference run"
             )
+        events = [{e: sum(getattr(z, e) for z in b.locals) for e in bundle.events}
+                  for b in (std_batch, batch)]
+        if events[0] != events[1]:
+            raise RuntimeError(f"seed {seed}: kernel event counts differ between the "
+                               f"regimes: {events[0]} and {events[1]}")
         efficiency = analysis.efficiency_report(params, std_ledger, fsm_ledger)
         ess = analysis.effective_sample_size(std_samples)
         result.reports.append({
@@ -279,8 +288,8 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
             "ess": ess,
             "ledgers": {"standard": std_ledger, fsm_ledger.regime: fsm_ledger},
         })
-        for regime, ledger in (("standard", std_ledger),
-                               (fsm_ledger.regime, fsm_ledger)):
+        for (regime, ledger), counts in zip((("standard", std_ledger),
+                                             (fsm_ledger.regime, fsm_ledger)), events):
             cps = ledger.cost_per_sample()
             result.rows.append({
                 **base, "regime": regime, "seed": seed,
@@ -290,6 +299,7 @@ def run_experiment(config: RunConfig, write: bool = True) -> ExperimentResult:
                 "R_hat": efficiency.R_of_m, "E_hat": efficiency.E_of_m,
                 "ess_pooled": ess.pooled,
                 "ess_per_cost": ess.pooled / ledger.charged_cost,
+                **counts,
             })
             result.timing_rows.append({
                 **base, "regime": regime, "seed": seed,

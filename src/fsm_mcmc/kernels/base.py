@@ -40,7 +40,10 @@ class KernelBundle:
 
     ``iter_states`` are the machine states whose executions sum to the
     kernel's reported inner-iteration count N.  ``program`` is the tree both
-    forms were compiled from (:meth:`from_program`).
+    forms were compiled from (:meth:`from_program`).  ``events`` name the
+    integer attributes of the kernel's ``Locals`` that count what the chain
+    ran into; the final block adds to them, once per finished sample, so both
+    regimes count the same samples.
     """
 
     name: str
@@ -51,6 +54,7 @@ class KernelBundle:
     iter_states: tuple[int, ...]
     default_costs: CostParams
     requires: Callable[[TargetModel], list[str]] | None = None
+    events: tuple[str, ...] = ()
 
     @classmethod
     def from_program(cls, name: str, program: tuple,
@@ -58,6 +62,7 @@ class KernelBundle:
                      shared: Callable[[Any], None] | None = None,
                      block_costs: tuple[float, ...] | None = None,
                      requires: Callable[[TargetModel], list[str]] | None = None,
+                     events: tuple[str, ...] = (),
                      ) -> "KernelBundle":
         """The kernel compiled from its program; block costs default to one unit."""
         machine, monolithic, iter_states = compile_program(program, shared)
@@ -70,6 +75,7 @@ class KernelBundle:
             iter_states=iter_states,
             default_costs=CostParams.for_fsm(machine, block_costs=block_costs),
             requires=requires,
+            events=events,
         )
 
     def check_target(self, target: TargetModel) -> None:

@@ -19,6 +19,10 @@ is tested against the checkpoints spanning every balanced subtree that ends
 at i.  A subtree that turns or diverges is discarded and the trajectory
 stops; after a clean merge the whole trajectory's endpoints are tested.
 
+DONE counts the kernel's two events per chain: ``divergences``, the samples
+whose trajectory diverged, and ``depth_cap_hits``, those that reached the
+depth cap without a U-turn or a divergence.
+
 The current point's log-density and gradient are carried across samples.
 A leaf that becomes the subtree proposal keeps its ``(lp, grad)`` next to it,
 CHECK hands them on with the trajectory proposal, and DONE stores them with
@@ -76,7 +80,7 @@ class NutsLocals(Locals):
                  "xprop", "lp_prop", "g_prop", "log_sum_w", "depth", "stopped",
                  "diverged", "direction", "steps_todo", "steps_done",
                  "sub_log_sum_w", "sub_xprop", "sub_lp", "sub_g", "sub_stop",
-                 "ck_x", "ck_p")
+                 "ck_x", "ck_p", "divergences", "depth_cap_hits")
 
     def __init__(self, x, rng, target, max_depth):
         super().__init__(x, rng)
@@ -111,6 +115,8 @@ class NutsLocals(Locals):
         # checkpoint slots hold references to leaf arrays, never copies
         self.ck_x = [None] * max_depth
         self.ck_p = [None] * max_depth
+        self.divergences = 0
+        self.depth_cap_hits = 0
 
 
 def nuts_kernel(step_size: float, max_depth: int = 10,
@@ -227,6 +233,12 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
     def _done(z: NutsLocals) -> None:
         z.x = z.xprop.copy()
         z.lp_x, z.g_x = z.lp_prop, z.g_prop
+        # CHECK stops a diverged trajectory, so a trajectory that did not
+        # stop left the outer loop at the depth cap
+        if z.diverged:
+            z.divergences += 1
+        elif not z.stopped:
+            z.depth_cap_hits += 1
 
     program = (
         Block(_init, "INIT"),
@@ -248,4 +260,4 @@ def nuts_kernel(step_size: float, max_depth: int = 10,
 
     return KernelBundle.from_program(
         "nuts", program, init_locals, block_costs=(1.0, 0.05, 1.0, 0.1, 0.02),
-        requires=requires)
+        requires=requires, events=("divergences", "depth_cap_hits"))

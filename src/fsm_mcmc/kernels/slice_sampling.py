@@ -8,8 +8,9 @@ five states: INIT-E / EXPAND / INIT-S / SHRINK / DONE.
 
 The expansion loop extends one interval end per execution (left end first),
 which keeps every block free of unbounded work.  Hitting the expansion cap
-is not an error; it is counted and reported through the locals so runs can
-surface it.
+is not an error: DONE counts the samples whose stepping-out stopped at the
+cap with an end still above the level in the locals' ``cap_hits``, the
+kernel's one event.
 """
 
 from __future__ import annotations
@@ -76,12 +77,12 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
         else:
             z.right += w
             z.lp_right = _logp(z, z.right)
-        if z.n_expand == max_expansions and (z.lp_left > z.logy or z.lp_right > z.logy):
-            z.cap_hits += 1
+
+    def _end_above_level(z: SliceLocals) -> bool:
+        return z.lp_left > z.logy or z.lp_right > z.logy
 
     def _expand_continue(z: SliceLocals) -> bool:
-        return ((z.lp_left > z.logy or z.lp_right > z.logy)
-                and z.n_expand < max_expansions)
+        return _end_above_level(z) and z.n_expand < max_expansions
 
     def _shrink(z: SliceLocals) -> None:
         u, z.rng = uniform(z.rng)
@@ -100,6 +101,10 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
     def _done(z: SliceLocals) -> None:
         z.x = np.array([z.x1])
         z.lp_x = z.lp_x1
+        # shrinking moves the ends but not their log-densities, so these are
+        # still the expansion loop's: an end above the level means it hit the cap
+        if _end_above_level(z):
+            z.cap_hits += 1
 
     program = (
         Block(_init_expand, "INIT-E"),
@@ -117,4 +122,5 @@ def slice_kernel(initial_width: float, max_expansions: int = 32) -> KernelBundle
     def init_locals(x0, rng, target):
         return SliceLocals(np.asarray(x0, dtype=float), rng, target)
 
-    return KernelBundle.from_program("slice", program, init_locals, requires=requires)
+    return KernelBundle.from_program("slice", program, init_locals, requires=requires,
+                                     events=("cap_hits",))

